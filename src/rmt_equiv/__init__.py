@@ -1,7 +1,6 @@
 """Deterministic equivalents for random matrix models of linear and neural
 networks, verified against seeded Monte Carlo simulation at desk scale."""
 
-from ._kernels import HAS_NUMBA
 from .det_equiv import (
     DEFixedPoint,
     MPParams,
@@ -81,3 +80,7 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+# Always False: the hot loops are plain numpy. perfbench/worker.py:env_record
+# reads it into the environment record of each benchmark run.
+HAS_NUMBA = False

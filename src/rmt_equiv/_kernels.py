@@ -1,24 +1,13 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops of the fixed-point solvers and the ReLU kernel, in plain numpy.
 
-Every kernel below is written once in numba-compatible numpy and exported in
-two flavors: a plain-Python/numpy version (suffix ``_numpy``) and, when numba
-imports and ``RMT_EQUIV_NO_NUMBA`` is not set, an ``@njit``-compiled twin
-(suffix ``_jit``). The module-level unsuffixed names point at the selected
-implementation; the rest of the package only uses those.
-
-``benchmarks/bench_kernels.py`` times both flavors side by side.
+The four functions are kept in one module so that they can be timed and
+traced as a layer of their own.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("RMT_EQUIV_NO_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
 
-
-def delta_scm_iterate_numpy(c_eigs, n, z, tol, max_iter, delta0):
+def delta_scm_iterate(c_eigs, n, z, tol, max_iter, delta0):
     """Damped fixed-point iteration for the sample-covariance DE.
 
     Iterates delta <- (1/n) sum_i c_i / (c_i/(1+delta) - z) from delta0.
@@ -43,7 +32,7 @@ def delta_scm_iterate_numpy(c_eigs, n, z, tol, max_iter, delta0):
     return delta, resid, max_iter, False
 
 
-def delta_gram_iterate_numpy(k_eigs, n, d, gamma, tol, max_iter, delta0):
+def delta_gram_iterate(k_eigs, n, d, gamma, tol, max_iter, delta0):
     """Damped fixed-point iteration for the nonlinear-Gram DE.
 
     Iterates delta <- (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma).
@@ -71,7 +60,7 @@ def delta_gram_iterate_numpy(k_eigs, n, d, gamma, tol, max_iter, delta0):
     return delta, resid, max_iter, False
 
 
-def theta_bisect_numpy(k_eigs, d_over_n, tol, max_iter):
+def theta_bisect(k_eigs, d_over_n, tol, max_iter):
     """Bisection for theta: (1/n) sum_i k_i/(k_i + theta/d_over_n) = d_over_n.
 
     The left side is strictly decreasing in theta, so plain bisection on a
@@ -99,7 +88,7 @@ def theta_bisect_numpy(k_eigs, d_over_n, tol, max_iter):
     return 0.5 * (lo + hi), it
 
 
-def relu_pair_kernel_numpy(gram, norms_a, norms_b):
+def relu_pair_kernel(gram, norms_a, norms_b):
     """Entrywise degree-1 arc-cosine kernel.
 
     K[i,j] = (|a_i||b_j| / 2pi) * (sqrt(1-rho^2) + (pi - arccos(rho)) rho),
@@ -110,28 +99,3 @@ def relu_pair_kernel_numpy(gram, norms_a, norms_b):
     rho = np.minimum(np.maximum(rho, -1.0), 1.0)
     ang = np.arccos(rho)
     return (scale / (2.0 * np.pi)) * (np.sqrt(1.0 - rho * rho) + (np.pi - ang) * rho)
-
-
-HAS_NUMBA = False
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        delta_scm_iterate_jit = njit(cache=True)(delta_scm_iterate_numpy)
-        delta_gram_iterate_jit = njit(cache=True)(delta_gram_iterate_numpy)
-        theta_bisect_jit = njit(cache=True)(theta_bisect_numpy)
-        relu_pair_kernel_jit = njit(cache=True)(relu_pair_kernel_numpy)
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if HAS_NUMBA:
-    delta_scm_iterate = delta_scm_iterate_jit
-    delta_gram_iterate = delta_gram_iterate_jit
-    theta_bisect = theta_bisect_jit
-    relu_pair_kernel = relu_pair_kernel_jit
-else:
-    delta_scm_iterate = delta_scm_iterate_numpy
-    delta_gram_iterate = delta_gram_iterate_numpy
-    theta_bisect = theta_bisect_numpy
-    relu_pair_kernel = relu_pair_kernel_numpy

@@ -27,7 +27,7 @@ from .det_equiv import MPParams, mp_cdf, mp_density
 from .errors import ConvergenceError, DatasetError, NearPhaseTransitionError, \
     SingularityError
 from .randgen import gaussian_matrix, ingest_dataset, sphere_dataset
-from .results import ResultRow, write_rows
+from .results import ResultRow, write_csv, write_rows
 from .ridge import PEAK_RATIO_BAND, SweepSpec, risk_theory, sweep_double_descent
 from .spectral import esd_histogram, ks_distance, measure_to_rows
 
@@ -157,18 +157,12 @@ def _run_mp(params, out):
         hi = mp.edges[1] * 1.05
         hist = esd_histogram(lam, params["bins"], (0.0, hi))
         tag = f"{c:g}".replace(".", "p")
-        with open(os.path.join(out, f"mp_hist_c{tag}.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("bin_left,bin_right,mass\n")
-            for left, right, mass in measure_to_rows(hist):
-                fh.write(f"{left:.9g},{right:.9g},{mass:.9g}\n")
+        write_csv(os.path.join(out, f"mp_hist_c{tag}.csv"),
+                  "bin_left,bin_right,mass", measure_to_rows(hist))
         grid = np.linspace(max(mp.edges[0], 1e-4), mp.edges[1], 400)
         dens = mp_density(p / n, grid)
-        with open(os.path.join(out, f"mp_density_c{tag}.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("x,density\n")
-            for x, d in zip(grid, dens):
-                fh.write(f"{x:.9g},{d:.9g}\n")
+        write_csv(os.path.join(out, f"mp_density_c{tag}.csv"), "x,density",
+                  zip(grid, dens))
         ks = ks_distance(lam, mp_cdf(p / n))
         rows.append(ResultRow(ratio=p / n, gamma=0.0, metric="ks_distance",
                               empirical_mean=ks, empirical_stderr=0.0,
@@ -186,18 +180,17 @@ def _run_tanh_demo(params, out):
     f_lln = xs @ y
     f_clt = np.sqrt(n) * f_lln
     a1 = hk.hermite_coeffs(rf_nn.get_activation("tanh")).a1
-    with open(os.path.join(out, "tanh_demo_hist.csv"), "w", encoding="utf-8") as fh:
-        fh.write("regime,bin_left,bin_right,mass\n")
-        for regime, samples, rng_hi in (("lln", f_lln, 3.0 / np.sqrt(n)),
-                                        ("clt", f_clt, 3.0)):
-            hist = esd_histogram(samples, params["bins"], (-rng_hi, rng_hi))
-            for left, right, mass in measure_to_rows(hist):
-                fh.write(f"{regime},{left:.9g},{right:.9g},{mass:.9g}\n")
+    hist_rows = []
+    for regime, samples, rng_hi in (("lln", f_lln, 3.0 / np.sqrt(n)),
+                                    ("clt", f_clt, 3.0)):
+        hist = esd_histogram(samples, params["bins"], (-rng_hi, rng_hi))
+        hist_rows += [(regime, *row) for row in measure_to_rows(hist)]
+    write_csv(os.path.join(out, "tanh_demo_hist.csv"),
+              "regime,bin_left,bin_right,mass", hist_rows)
     grid = np.linspace(-3.0, 3.0, 241)
-    with open(os.path.join(out, "tanh_demo_curves.csv"), "w", encoding="utf-8") as fh:
-        fh.write("t,tanh,taylor_line,hermite_line\n")
-        for t in grid:
-            fh.write(f"{t:.9g},{np.tanh(t):.9g},{t:.9g},{a1 * t:.9g}\n")
+    write_csv(os.path.join(out, "tanh_demo_curves.csv"),
+              "t,tanh,taylor_line,hermite_line",
+              zip(grid, np.tanh(grid), grid, a1 * grid))
     # CLT-regime moment match: E[tanh(f) f] = a1 E[f^2] for the linearization
     emp = float(np.mean(np.tanh(f_clt) * f_clt) / np.mean(f_clt**2))
     lln_gap = float(np.abs(np.tanh(f_lln) - f_lln).max())

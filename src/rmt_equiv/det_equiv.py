@@ -77,8 +77,6 @@ def mp_stieltjes(c, z):
         x = z.real
         if x == 0.0 or (lo <= x <= hi):
             raise DomainError(f"z={x} lies in the MP support for c={c}")
-        if c > 1 and x == 0.0:
-            raise DomainError("z=0 is the MP atom for c>1")
         # continuity from above: pick the real root nearest the m(x + i eps) branch
         probe = mp_stieltjes(c, complex(x, 1e-9 * max(1.0, abs(x))))
         r1, r2 = _quadratic_roots(c, z)

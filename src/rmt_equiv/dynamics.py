@@ -19,12 +19,13 @@ Matrix exponentials go through the symmetric eigendecomposition, never series.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import RankDeficiencyError
+from .results import write_csv
 from .spectral import ContourSpec, check_contour, circle_nodes
 
 #: exp(-eta t lambda_min) below e^-50 is saturated numerically
@@ -149,9 +150,4 @@ def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec)
 
 def write_trajectory(path, samples):
     """CSV serialization: t,loss,projection (projection column empty if absent)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,loss,projection\n")
-        for s in samples:
-            proj = "" if s.projection is None else f"{s.projection:.9g}"
-            fh.write(f"{s.t:.9g},{s.loss:.9g},{proj}\n")
-    return path
+    return write_csv(path, "t,loss,projection", map(astuple, samples))

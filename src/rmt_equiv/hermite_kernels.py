@@ -19,6 +19,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import DegenerateActivationError, DomainError
+from .results import write_csv
 from .rf_nn import ActivationSpec
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -217,7 +218,5 @@ def gauss_pair_kernel(coeffs: HermiteCoeffs, corr):
 
 def write_coeff_table(path, named_coeffs):
     """CSV export of coefficient rows: activation,a0,a1,a2,nu."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("activation,a0,a1,a2,nu\n")
-        for name, c in named_coeffs:
-            fh.write(f"{name},{c.a0:.9g},{c.a1:.9g},{c.a2:.9g},{c.nu:.9g}\n")
+    return write_csv(path, "activation,a0,a1,a2,nu",
+                     ((name, c.a0, c.a1, c.a2, c.nu) for name, c in named_coeffs))

@@ -1,6 +1,6 @@
-"""Shared experiment result record and its CSV serialization."""
+"""Shared experiment result record and the package's one CSV writer."""
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 CSV_HEADER = "ratio,gamma,metric,empirical_mean,empirical_stderr,theory,trials,status"
 
@@ -19,22 +19,28 @@ class ResultRow:
     status: str = "ok"
 
 
-def _fmt(x):
-    # 9 significant digits; empty field for missing values
-    if x is None or (isinstance(x, float) and x != x):
+def _field(value):
+    if isinstance(value, str):
+        return value
+    if value is None or value != value:  # missing value or NaN
         return ""
-    return f"{x:.9g}"
+    return f"{value:.9g}"
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` (a comma-separated string) and ``rows`` to ``path``.
+
+    Strings are written as they are, numbers with 9 significant digits, and
+    None or NaN as an empty field; lines end in ``\\n``. Returns ``path``.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(map(_field, row)) + "\n")
+    return path
 
 
 def write_rows(path, rows):
-    """Write ResultRows sorted by (gamma, ratio) with 9-significant-digit values."""
+    """Write ResultRows sorted by (gamma, ratio, metric)."""
     ordered = sorted(rows, key=lambda r: (r.gamma, r.ratio, r.metric))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in ordered:
-            fh.write(
-                f"{_fmt(r.ratio)},{_fmt(r.gamma)},{r.metric},"
-                f"{_fmt(r.empirical_mean)},{_fmt(r.empirical_stderr)},"
-                f"{_fmt(r.theory)},{r.trials},{r.status}\n"
-            )
-    return path
+    return write_csv(path, CSV_HEADER, map(astuple, ordered))

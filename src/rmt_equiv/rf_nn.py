@@ -51,13 +51,6 @@ def get_activation(name) -> ActivationSpec:
         raise ValueError(f"unknown activation {name!r}") from None
 
 
-def lipschitz_constant(act: ActivationSpec, lo=-20.0, hi=20.0, samples=20001):
-    """Crude Lipschitz constant of ``act.evaluate`` by dense difference quotients."""
-    t = np.linspace(lo, hi, samples)
-    v = act.evaluate(t)
-    return float(np.abs(np.diff(v) / np.diff(t)).max())
-
-
 @dataclass
 class KernelTriplet:
     """Train/cross/test blocks of the expected kernel matrix."""

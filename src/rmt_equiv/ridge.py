@@ -18,7 +18,7 @@ c = 0.5, gamma = 0.1, sigma^2 = 0.1, ||b*|| = 1.)
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,14 +143,18 @@ def risk_theory(gamma, c, beta_norm2, sigma2, regime="proportional") -> RiskPair
 
 
 def ridgeless_limits(c, beta_norm2, sigma2) -> RiskPair:
-    """gamma -> 0 risk limits; c = 1 is the double-descent singularity."""
+    """gamma -> 0 risk limits; c = 1 is the double-descent singularity.
+
+    For c > 1 the min-norm solution interpolates, X^T(beta - beta_*) = noise,
+    so the in-sample risk is the noise variance sigma^2.
+    """
     if c == 1:
         raise SingularityError("ridgeless risks diverge at the peak c = 1")
     if not c > 0:
         raise ValueError("ratio c must be positive")
     if c < 1:
         return RiskPair(sigma2 * c, sigma2 * c / (1.0 - c))
-    return RiskPair(0.0, beta_norm2 * (1.0 - 1.0 / c) + sigma2 / (c - 1.0))
+    return RiskPair(sigma2, beta_norm2 * (1.0 - 1.0 / c) + sigma2 / (c - 1.0))
 
 
 @dataclass
@@ -164,7 +168,6 @@ class SweepSpec:
     sigma2: float = 0.1
     seed: int = 0
     beta_norm2: float = 1.0
-    in_sample_mode: str = "realized"
     threads: int = 1
 
 
@@ -187,8 +190,7 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
             X = gaussian_matrix(p, n, 1.0, base + t)
             y = linear_targets(X, truth, base + t + 50_000_000)
             sol = ridge_fit(X, y, gamma)
-            risks = empirical_risks(sol, truth, X,
-                                    in_sample_mode=spec.in_sample_mode)
+            risks = empirical_risks(sol, truth, X)
             r_in_vals[t], r_out_vals[t] = risks.r_in, risks.r_out
         except Exception:  # record, never abort the sweep
             r_in_vals[t] = r_out_vals[t] = np.nan

@@ -124,9 +124,11 @@ class TestSolveDeltaSCM:
     def test_residual_satisfies_equation(self):
         rng = np.random.default_rng(0)
         eigs = rng.uniform(0.5, 2.0, 60)
-        fp = det_equiv.solve_delta_scm(eigs, 90, -0.3 + 0.2j, tol=1e-13)
-        target = np.mean(eigs / (eigs / (1 + fp.delta) - fp.z)) * 60 / 90
-        assert abs(target - fp.delta) <= 1e-12
+        # off the real axis on both sides of the spectrum, and on the negative axis
+        for z in (-0.3 + 0.2j, -1.0, -0.3 + 0.4j, 2.0 + 1.0j):
+            fp = det_equiv.solve_delta_scm(eigs, 90, z, tol=1e-13)
+            target = np.mean(eigs / (eigs / (1 + fp.delta) - fp.z)) * 60 / 90
+            assert abs(target - fp.delta) <= 1e-12, z
 
     def test_positive_real_delta_for_negative_z(self):
         rng = np.random.default_rng(1)

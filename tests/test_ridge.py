@@ -145,6 +145,15 @@ class TestRidgelessLimits:
     def test_over_determined(self):
         assert ridge.ridgeless_limits(2.0, 1.0, 0.1).r_out == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("c", [1.25, 2.0, 4.0])
+    def test_interpolating_in_sample_is_noise(self, c):
+        # the min-norm interpolator gives X^T(beta - beta_*) = noise exactly
+        rp = ridge.ridgeless_limits(c, 1.0, 0.1)
+        assert rp.r_in == 0.1
+        near = ridge.risk_theory(1e-9, c, 1.0, 0.1)
+        assert rp.r_in == pytest.approx(near.r_in, abs=1e-6)
+        assert rp.r_out == pytest.approx(near.r_out, abs=1e-6)
+
     def test_noiseless(self):
         rp = ridge.ridgeless_limits(0.5, 1.0, 0.0)
         assert rp.r_in == 0.0 and rp.r_out == 0.0
