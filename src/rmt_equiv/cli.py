@@ -1,21 +1,21 @@
 """Experiment runner: config parsing, seeded sweeps, CSV emission.
 
 Usage:
-    rmt-equiv <experiment> --config <path> [--out <dir>] [--threads N] [--header]
+    rmt-equiv <experiment> --config <path> [--out <dir>] [--dataset <csv>] [--header]
 
 Experiments: mp, tanh-demo, ridge-sweep, rf-sweep, kernel-lin, ck-depth,
 dynamics. Configs are flat ``key = value`` text files ('#' starts a comment;
 lists are comma-separated). The seed is mandatory and may be overridden by the
 ``RMT_EQUIV_SEED`` environment variable. All numeric CSV values are written
-with 9 significant digits; identical configs produce byte-identical CSVs,
-regardless of --threads.
+with 9 significant digits; identical configs produce byte-identical CSVs.
 
-Exit status: 0 success, 2 validation failure, 3 numerical failure.
+Exit status: 0 success, 2 bad config or dataset, 3 numerical failure.
 """
 
 import argparse
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,39 +26,11 @@ from . import rf_nn
 from .det_equiv import MPParams, mp_cdf, mp_density
 from .errors import ConvergenceError, DatasetError, NearPhaseTransitionError, \
     SingularityError
-from .randgen import gaussian_matrix, ingest_dataset, sphere_dataset
+from .randgen import DataMatrix, gaussian_matrix, ingest_dataset, sphere_dataset
 from .results import ResultRow, write_csv, write_rows
-from .ridge import PEAK_RATIO_BAND, SweepSpec, risk_theory, sweep_double_descent
+from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
+    sweep_double_descent
 from .spectral import esd_histogram, ks_distance, measure_to_rows
-
-EXPERIMENTS = ("mp", "tanh-demo", "ridge-sweep", "rf-sweep", "kernel-lin",
-               "ck-depth", "dynamics")
-
-_DEFAULTS = {
-    "mp": {"c_list": [0.1, 0.5, 1.0, 2.0], "p": 1024, "bins": 60},
-    "tanh-demo": {"n": 500, "draws": 2000, "bins": 50},
-    "ridge-sweep": {
-        "ratios": [0.25, 0.5, 0.7, 0.85, 0.95, 1.0, 1.05, 1.15, 1.35, 2.0, 4.0],
-        "gammas": [1e-5, 1e-1], "trials": 30, "p": 512, "sigma2": 0.1,
-        "beta_norm2": 1.0, "theory_grid": 0,
-    },
-    "rf-sweep": {
-        "d_over_n": [0.25, 0.5, 1.0, 2.0], "n": 512, "p": 256, "n_test": 512,
-        "gamma": 0.1, "trials": 30, "activation": "relu", "sigma2": 0.0,
-        "dataset": "", "labels": [1.0, 2.0], "normalization": "unit-sphere",
-        "mc_samples": 100_000,
-    },
-    "kernel-lin": {"sizes": [128, 256, 512, 1024], "activation": "relu",
-                   "mc_samples": 100_000},
-    "ck-depth": {"layers": 10, "n": 256, "p": 256, "width": 8192},
-    "dynamics": {"d": 24, "n": 40, "eta": 1.0,
-                 "times": [0.0, 0.1, 0.5, 1.0, 2.0, 5.0], "nodes": 512},
-}
-
-_LIST_KEYS = {"c_list", "ratios", "gammas", "d_over_n", "sizes", "times", "labels"}
-_INT_KEYS = {"p", "n", "bins", "draws", "trials", "n_test", "layers", "width",
-             "d", "nodes", "seed", "theory_grid", "mc_samples"}
-_STR_KEYS = {"activation", "dataset", "normalization", "experiment"}
 
 
 @dataclass
@@ -67,18 +39,16 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
 
-def _parse_scalar(key, raw):
-    raw = raw.strip()
-    if key in _STR_KEYS:
-        return raw
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)
+# defaults: the keys besides seed, each default fixing its key's type; check(params)
+# -> (errors, warnings); run(params, out_dir) -> max |empirical - theory| deviation
+Experiment = namedtuple("Experiment", "defaults check run")
 
 
 def parse_config(path, experiment=None) -> ExperimentConfig:
-    """Read a flat key = value config file."""
-    params = {}
+    """Read a flat key = value config file; each key takes its default's type.
+
+    A list takes its first entry's, ``seed`` is an int and unknown keys stay str."""
+    raw = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -86,28 +56,46 @@ def parse_config(path, experiment=None) -> ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            if key in _LIST_KEYS:
-                items = [v for v in raw.split(",") if v.strip()]
-                base = int if key == "sizes" else float
-                params[key] = [base(v) for v in items]
-            else:
-                params[key] = _parse_scalar(key, raw)
-    exp = experiment or params.pop("experiment", None)
+            key, value = (s.strip() for s in line.split("=", 1))
+            raw[key] = (lineno, value)
+    file_exp = raw.pop("experiment", (None, None))[1]
+    exp = experiment or file_exp
     if exp is None:
         raise ValueError("no experiment given (CLI argument or 'experiment' key)")
-    params.pop("experiment", None)
+    types = {"seed": 0, **(EXPERIMENTS[exp].defaults if exp in EXPERIMENTS else {})}
+    params = {}
+    for key, (lineno, value) in raw.items():
+        default = types.get(key, "")
+        try:
+            params[key] = ([type(default[0])(v) for v in value.split(",") if v.strip()]
+                           if isinstance(default, list) else type(default)(value))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return ExperimentConfig(experiment=exp, params=params)
+
+
+def _bound(params, keys, ok, rule):
+    """``"<key> <rule>"`` for each of the space-separated ``keys`` whose value, or
+    an entry of it, fails ``ok``."""
+    vals = {k: params[k] if isinstance(params[k], list) else [params[k]]
+            for k in keys.split()}
+    return [f"{k} {rule}" for k, v in vals.items() if not all(map(ok, v))]
+
+
+_POSITIVE = (lambda v: v > 0, "must be > 0")
+_COUNT = (lambda v: v >= 1, "must be >= 1")
+_SPHERE_DIM = (lambda v: v >= 2, "must be >= 2 (a sphere dimension)")
 
 
 def validate(config: ExperimentConfig):
     """Fill defaults and collect *all* violations; returns (config, errors, warnings)."""
-    errors, warnings_ = [], []
-    if config.experiment not in EXPERIMENTS:
+    errors = []
+    entry = EXPERIMENTS.get(config.experiment)
+    if entry is None:
         errors.append(f"unknown experiment {config.experiment!r}; "
                       f"choose from {', '.join(EXPERIMENTS)}")
-        return config, errors, warnings_
-    filled = dict(_DEFAULTS[config.experiment])
+        return config, errors, []
+    filled = dict(entry.defaults)
     known = set(filled) | {"seed"}
     for key, val in config.params.items():
         if key not in known and not key.startswith("_"):  # _keys are CLI-internal
@@ -119,26 +107,27 @@ def validate(config: ExperimentConfig):
     if "seed" not in filled:
         errors.append("missing mandatory key 'seed'")
 
-    p = filled.get("p")
-    if p is not None and p < 1:
-        errors.append("p must be >= 1")
-    for key in ("trials", "bins", "draws", "layers", "width", "d", "n", "nodes"):
-        if key in filled and filled[key] is not None and filled[key] < 1:
-            errors.append(f"{key} must be >= 1")
-    for key in ("c_list", "ratios", "gammas", "d_over_n", "sizes"):
-        if key in filled and any(v < 0 for v in filled[key]):
-            errors.append(f"{key} entries must be nonnegative")
-    if config.experiment == "ridge-sweep":
-        gams = filled["gammas"]
-        for r in filled["ratios"]:
-            if r > 0 and abs(1.0 / r - 1.0) < PEAK_RATIO_BAND and min(gams) < 1e-4:
-                warnings_.append(
-                    f"ratio {r} sits on the interpolation peak; theory value "
-                    "will be near-singular at small gamma"
-                )
-    if config.experiment == "rf-sweep" and filled.get("gamma", 1.0) <= 0:
-        errors.append("rf-sweep needs gamma > 0")
-    return ExperimentConfig(config.experiment, filled), errors, warnings_
+    errors += [f"{key} must not be empty" for key in entry.defaults
+               if isinstance(filled[key], list) and not filled[key]]
+    check_errors, warnings_ = entry.check(filled)
+    return ExperimentConfig(config.experiment, filled), errors + check_errors, warnings_
+
+
+def _check_ridge_sweep(params):
+    errors = (_bound(params, "trials p", *_COUNT) + _bound(params, "ratios", *_POSITIVE)
+              + _bound(params, "gammas", lambda v: v >= 0, "must be >= 0"))
+    warnings_ = [f"ratio {r} sits on the interpolation peak; theory value "
+                 "will be near-singular at small gamma"
+                 for r in params["ratios"]
+                 if r > 0 and abs(1.0 / r - 1.0) < PEAK_RATIO_BAND
+                 and any(g < 1e-4 for g in params["gammas"])]
+    return errors, warnings_
+
+
+def _check_rf_sweep(params):
+    dims = [] if params["dataset"] else _bound(params, "p", *_SPHERE_DIM)
+    return (_bound(params, "n p n_test trials mc_samples", *_COUNT)
+            + _bound(params, "d_over_n gamma", *_POSITIVE) + dims), []
 
 
 # ---------------------------------------------------------------- experiments
@@ -168,7 +157,7 @@ def _run_mp(params, out):
                               empirical_mean=ks, empirical_stderr=0.0,
                               theory=0.0, trials=1))
     write_rows(os.path.join(out, "mp_summary.csv"), rows)
-    return rows, max(r.empirical_mean for r in rows)
+    return max(r.empirical_mean for r in rows)
 
 
 def _run_tanh_demo(params, out):
@@ -203,14 +192,14 @@ def _run_tanh_demo(params, out):
                   trials=draws),
     ]
     write_rows(os.path.join(out, "tanh_demo_summary.csv"), rows)
-    return rows, abs(emp - a1)
+    return abs(emp - a1)
 
 
-def _run_ridge_sweep(params, out, threads):
+def _run_ridge_sweep(params, out):
     spec = SweepSpec(ratios=params["ratios"], gammas=params["gammas"],
                      trials=params["trials"], p=params["p"],
                      sigma2=params["sigma2"], seed=params["seed"],
-                     beta_norm2=params["beta_norm2"], threads=threads)
+                     beta_norm2=params["beta_norm2"])
     rows = sweep_double_descent(spec)
     if params["theory_grid"]:
         lo, hi = min(params["ratios"]), max(params["ratios"])
@@ -219,22 +208,17 @@ def _run_ridge_sweep(params, out, threads):
                 c = 1.0 / r
                 try:
                     th = risk_theory(g, c, params["beta_norm2"], params["sigma2"])
-                    pairs = (("r_in", th.r_in), ("r_out", th.r_out))
                 except SingularityError:
-                    pairs = (("r_in", float("nan")), ("r_out", float("nan")))
-                for metric, val in pairs:
-                    rows.append(ResultRow(ratio=float(r), gamma=g, metric=metric,
-                                          empirical_mean=float("nan"),
-                                          empirical_stderr=float("nan"),
-                                          theory=val, trials=0,
-                                          status="theory-only"))
+                    th = RiskPair(float("nan"), float("nan"))
+                rows += [ResultRow.from_trials(float(r), g, m, [], v, "theory-only")
+                         for m, v in (("r_in", th.r_in), ("r_out", th.r_out))]
     write_rows(os.path.join(out, "ridge_sweep.csv"), rows)
     devs = [abs(r.empirical_mean - r.theory)
             for r in rows
             if r.status == "ok" and np.isfinite(r.theory)
             and np.isfinite(r.empirical_mean)
             and abs(1.0 / r.ratio - 1.0) >= 0.1]
-    return rows, (max(devs) if devs else float("nan"))
+    return max(devs) if devs else float("nan")
 
 
 def _rf_data(params):
@@ -245,10 +229,9 @@ def _rf_data(params):
                                       params["normalization"],
                                       header=params.get("_header", False))
         if X_all.n < n + n_test:
-            raise ValueError(
+            raise DatasetError(
                 f"dataset holds {X_all.n} filtered samples; need n+n_test={n + n_test}"
             )
-        from .randgen import DataMatrix
         Xtr = DataMatrix(X_all.entries[:, :n], dict(X_all.meta))
         Xte = DataMatrix(X_all.entries[:, n:n + n_test], dict(X_all.meta))
         return Xtr, y_all[:n], Xte, y_all[n:n + n_test]
@@ -267,16 +250,15 @@ def _rf_data(params):
     return Xtr, ytr, Xte, yte
 
 
-def _run_rf_sweep(params, out, threads):
+def _run_rf_sweep(params, out):
     act = rf_nn.get_activation(params["activation"])
     Xtr, ytr, Xte, yte = _rf_data(params)
     n = ytr.size
-    method = "analytic" if act.name in ("relu", "identity") else "monte-carlo"
-    kernels = rf_nn.kernel_triplet(Xtr, Xte, act, method=method,
+    kernels = rf_nn.kernel_triplet(Xtr, Xte, act, method=rf_nn.kernel_method(act),
                                    m=params["mc_samples"], seed=params["seed"])
     gamma, trials = params["gamma"], params["trials"]
-
-    def run_point(i, dn):
+    rows = []
+    for i, dn in enumerate(params["d_over_n"]):
         d = max(1, int(round(dn * n)))
         status = "ok"
         try:
@@ -293,27 +275,13 @@ def _run_rf_sweep(params, out, threads):
             emp_tr[t] = rf_nn.rf_empirical_mse(beta, feats, ytr)
             emp_te[t] = rf_nn.rf_empirical_mse(
                 beta, rf_nn.rf_features(W, Xte, act), yte)
-        return [ResultRow(ratio=dn, gamma=gamma, metric=metric,
-                          empirical_mean=float(vals.mean()),
-                          empirical_stderr=float(vals.std(ddof=1) / np.sqrt(trials)),
-                          theory=th, trials=trials, status=status)
-                for metric, vals, th in (("train_mse", emp_tr, th_train),
-                                         ("test_mse", emp_te, th_test))]
-
-    points = list(enumerate(params["d_over_n"]))
-    rows = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for fut in [pool.submit(run_point, i, dn) for i, dn in points]:
-                rows.extend(fut.result())
-    else:
-        for i, dn in points:
-            rows.extend(run_point(i, dn))
+        rows += [ResultRow.from_trials(dn, gamma, metric, vals, th, status)
+                 for metric, vals, th in (("train_mse", emp_tr, th_train),
+                                          ("test_mse", emp_te, th_test))]
     write_rows(os.path.join(out, "rf_sweep.csv"), rows)
     devs = [abs(r.empirical_mean - r.theory) / abs(r.theory)
             for r in rows if r.status == "ok" and r.theory]
-    return rows, (max(devs) if devs else float("nan"))
+    return max(devs) if devs else float("nan")
 
 
 def _run_kernel_lin(params, out):
@@ -321,20 +289,18 @@ def _run_kernel_lin(params, out):
     coeffs = hk.hermite_coeffs(act)
     hk.write_coeff_table(os.path.join(out, "activation_coeffs.csv"),
                          [(act.name, coeffs)])
-    method = "analytic" if act.name in ("relu", "identity") else "monte-carlo"
     rows = []
     for size in params["sizes"]:
         X = sphere_dataset(size, size, params["seed"] + size)
-        K = rf_nn.kernel_expectation(X, X, act, method=method,
-                                     m=params["mc_samples"],
-                                     seed=params["seed"])
+        K = rf_nn.kernel_expectation(X, X, act, method=rf_nn.kernel_method(act),
+                                     m=params["mc_samples"], seed=params["seed"])
         Kt = hk.linear_equivalent_kernel(X, coeffs)
         gap = np.linalg.norm(K - Kt, 2) / np.linalg.norm(Kt, 2)
         rows.append(ResultRow(ratio=float(size), gamma=0.0,
                               metric="linearization_gap", empirical_mean=float(gap),
                               empirical_stderr=0.0, theory=0.0, trials=1))
     write_rows(os.path.join(out, "kernel_lin.csv"), rows)
-    return rows, max(r.empirical_mean for r in rows)
+    return max(r.empirical_mean for r in rows)
 
 
 def _run_ck_depth(params, out):
@@ -364,7 +330,7 @@ def _run_ck_depth(params, out):
                           empirical_mean=float(gap), empirical_stderr=0.0,
                           theory=0.0, trials=1))
     write_rows(os.path.join(out, "ck_depth.csv"), rows)
-    return rows, float(gap)
+    return float(gap)
 
 
 def _run_dynamics(params, out):
@@ -410,11 +376,50 @@ def _run_dynamics(params, out):
                       empirical_mean=dv, empirical_stderr=0.0, theory=0.0, trials=1)
             for t, dv in zip(params["times"], devs)]
     write_rows(os.path.join(out, "dynamics_summary.csv"), rows)
-    return rows, max(devs)
+    return max(devs)
+
+
+EXPERIMENTS = {
+    "mp": Experiment(
+        {"c_list": [0.1, 0.5, 1.0, 2.0], "p": 1024, "bins": 60},
+        lambda params: (_bound(params, "p bins", *_COUNT)
+                        + _bound(params, "c_list", *_POSITIVE), []),
+        _run_mp),
+    "tanh-demo": Experiment(
+        {"n": 500, "draws": 2000, "bins": 50},
+        lambda params: (_bound(params, "n draws bins", *_COUNT), []), _run_tanh_demo),
+    "ridge-sweep": Experiment(
+        {"ratios": [0.25, 0.5, 0.7, 0.85, 0.95, 1.0, 1.05, 1.15, 1.35, 2.0, 4.0],
+         "gammas": [1e-5, 1e-1], "trials": 30, "p": 512, "sigma2": 0.1,
+         "beta_norm2": 1.0, "theory_grid": 0},
+        _check_ridge_sweep, _run_ridge_sweep),
+    "rf-sweep": Experiment(
+        {"d_over_n": [0.25, 0.5, 1.0, 2.0], "n": 512, "p": 256, "n_test": 512,
+         "gamma": 0.1, "trials": 30, "activation": "relu", "sigma2": 0.0,
+         "dataset": "", "labels": [1.0, 2.0], "normalization": "unit-sphere",
+         "mc_samples": 100_000},
+        _check_rf_sweep, _run_rf_sweep),
+    "kernel-lin": Experiment(
+        {"sizes": [128, 256, 512, 1024], "activation": "relu",
+         "mc_samples": 100_000},
+        lambda params: (_bound(params, "sizes", *_SPHERE_DIM)
+                        + _bound(params, "mc_samples", *_COUNT), []),
+        _run_kernel_lin),
+    "ck-depth": Experiment(
+        {"layers": 10, "n": 256, "p": 256, "width": 8192},
+        lambda params: (_bound(params, "layers n width", *_COUNT)
+                        + _bound(params, "p", *_SPHERE_DIM), []),
+        _run_ck_depth),
+    "dynamics": Experiment(
+        {"d": 24, "n": 40, "eta": 1.0,
+         "times": [0.0, 0.1, 0.5, 1.0, 2.0, 5.0], "nodes": 512},
+        lambda params: (_bound(params, "d n nodes", *_COUNT), []), _run_dynamics),
+}
 
 
 def run(config: ExperimentConfig, out_dir=".", threads=1):
     """Execute a validated experiment; returns the process exit status."""
+    # threads is ignored (experiments run on one thread); perfbench/worker.py passes it
     config, errors, warnings_ = validate(config)
     for w in warnings_:
         print(f"warning: {w}", file=sys.stderr)
@@ -425,22 +430,12 @@ def run(config: ExperimentConfig, out_dir=".", threads=1):
     os.makedirs(out_dir, exist_ok=True)
     params = config.params
     try:
-        if config.experiment == "mp":
-            _, dev = _run_mp(params, out_dir)
-        elif config.experiment == "tanh-demo":
-            _, dev = _run_tanh_demo(params, out_dir)
-        elif config.experiment == "ridge-sweep":
-            _, dev = _run_ridge_sweep(params, out_dir, threads)
-        elif config.experiment == "rf-sweep":
-            _, dev = _run_rf_sweep(params, out_dir, threads)
-        elif config.experiment == "kernel-lin":
-            _, dev = _run_kernel_lin(params, out_dir)
-        elif config.experiment == "ck-depth":
-            _, dev = _run_ck_depth(params, out_dir)
-        else:
-            _, dev = _run_dynamics(params, out_dir)
+        dev = EXPERIMENTS[config.experiment].run(params, out_dir)
+    except DatasetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConvergenceError, SingularityError, NearPhaseTransitionError,
-            np.linalg.LinAlgError, DatasetError, ValueError) as exc:
+            np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure in {config.experiment}: {exc}", file=sys.stderr)
         return 3
     print(f"{config.experiment}: seed={params['seed']} "
@@ -453,10 +448,9 @@ def main(argv=None):
         prog="rmt-equiv",
         description="Random-matrix deterministic-equivalent experiments",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=list(EXPERIMENTS))
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=".", help="output directory for CSVs")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--header", action="store_true",
                         help="dataset CSV has a header line to skip")
     parser.add_argument("--dataset", default=None,
@@ -472,7 +466,7 @@ def main(argv=None):
         config.params["_header"] = True
     if args.dataset is not None:
         config.params["dataset"] = args.dataset
-    return run(config, out_dir=args.out, threads=args.threads)
+    return run(config, out_dir=args.out)
 
 
 if __name__ == "__main__":

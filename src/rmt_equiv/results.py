@@ -2,6 +2,8 @@
 
 from dataclasses import astuple, dataclass
 
+import numpy as np
+
 CSV_HEADER = "ratio,gamma,metric,empirical_mean,empirical_stderr,theory,trials,status"
 
 
@@ -17,6 +19,19 @@ class ResultRow:
     theory: float  # nan when theory is singular at this point
     trials: int
     status: str = "ok"
+
+    @classmethod
+    def from_trials(cls, ratio, gamma, metric, values, theory, status="ok"):
+        """Mean and standard error over the finite ``values``, which ``trials``
+        counts; the stderr is NaN below two finite values, the mean at none."""
+        good = np.asarray(values, dtype=float)
+        good = good[np.isfinite(good)]
+        mean = float(good.mean()) if good.size else float("nan")
+        stderr = (float(good.std(ddof=1) / np.sqrt(good.size))
+                  if good.size > 1 else float("nan"))
+        return cls(ratio=ratio, gamma=gamma, metric=metric, empirical_mean=mean,
+                   empirical_stderr=stderr, theory=theory, trials=int(good.size),
+                   status=status)
 
 
 def _field(value):

@@ -109,6 +109,11 @@ def _entries(X):
     return X.entries if hasattr(X, "entries") else np.asarray(X, dtype=float)
 
 
+def kernel_method(act: ActivationSpec):
+    """'analytic' where ``kernel_expectation`` has a closed form, else 'monte-carlo'."""
+    return "analytic" if act.name in ("relu", "identity") else "monte-carlo"
+
+
 def kernel_expectation(X, X2, act: ActivationSpec, method="analytic",
                        m=100_000, seed=0):
     """Expected kernel block E_w[phi(X^T w) phi(w^T X2)] over w ~ N(0, I_p).

@@ -17,13 +17,12 @@ z-derivative m'(-gamma):
 c = 0.5, gamma = 0.1, sigma^2 = 0.1, ||b*|| = 1.)
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .det_equiv import mp_stieltjes, mp_stieltjes_derivative
-from .errors import SingularityError
+from .errors import ConvergenceError, SingularityError
 from .randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets
 from .results import ResultRow
 
@@ -168,7 +167,6 @@ class SweepSpec:
     sigma2: float = 0.1
     seed: int = 0
     beta_norm2: float = 1.0
-    threads: int = 1
 
 
 def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
@@ -192,7 +190,8 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
             sol = ridge_fit(X, y, gamma)
             risks = empirical_risks(sol, truth, X)
             r_in_vals[t], r_out_vals[t] = risks.r_in, risks.r_out
-        except Exception:  # record, never abort the sweep
+        except (np.linalg.LinAlgError, SingularityError, ConvergenceError):
+            # recorded in the row status; never aborts the sweep
             r_in_vals[t] = r_out_vals[t] = np.nan
             failures += 1
     if failures:
@@ -205,23 +204,15 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
         th_in = th_out = float("nan")
         status = "peak"
 
-    rows = []
-    for metric, vals, th in (("r_in", r_in_vals, th_in), ("r_out", r_out_vals, th_out)):
-        good = vals[np.isfinite(vals)]
-        mean = float(good.mean()) if good.size else float("nan")
-        stderr = (float(good.std(ddof=1) / np.sqrt(good.size))
-                  if good.size > 1 else float("nan"))
-        rows.append(ResultRow(ratio=ratio, gamma=gamma, metric=metric,
-                              empirical_mean=mean, empirical_stderr=stderr,
-                              theory=th, trials=int(good.size), status=status))
-    return rows
+    return [ResultRow.from_trials(ratio, gamma, metric, vals, th, status)
+            for metric, vals, th in (("r_in", r_in_vals, th_in),
+                                     ("r_out", r_out_vals, th_out))]
 
 
 def sweep_double_descent(spec: SweepSpec):
     """Seeded Monte Carlo sweep over (ratio, gamma) grid; rows sorted by (gamma, ratio).
 
-    Trials derive their seeds from the spec seed and the point index, so the
-    output is independent of execution order (and of the thread count).
+    Trials derive their seeds from the spec seed and the point index.
     """
     if spec.trials < 1:
         raise ValueError("need at least one trial")
@@ -229,14 +220,7 @@ def sweep_double_descent(spec: SweepSpec):
         raise ValueError("ratios must be positive")
     points = [(g, r) for g in spec.gammas for r in spec.ratios]
     rows = []
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            futs = [pool.submit(_sweep_point, spec, r, g, i)
-                    for i, (g, r) in enumerate(points)]
-            for f in futs:
-                rows.extend(f.result())
-    else:
-        for i, (g, r) in enumerate(points):
-            rows.extend(_sweep_point(spec, r, g, i))
+    for i, (g, r) in enumerate(points):
+        rows.extend(_sweep_point(spec, r, g, i))
     rows.sort(key=lambda row: (row.gamma, row.ratio, row.metric))
     return rows

@@ -1,6 +1,6 @@
 """Config parsing/validation and end-to-end experiment runs at desk scale."""
 
-import os
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +12,16 @@ def write_config(tmp_path, text, name="cfg.txt"):
     f = tmp_path / name
     f.write_text(text, encoding="utf-8")
     return str(f)
+
+
+def write_dataset(tmp_path, rows, seed=0, name="toy.csv", header=None):
+    """Label-first two-class CSV with six features per row."""
+    rng = np.random.default_rng(seed)
+    lines = [header] if header else []
+    lines += [f"{1 if i % 2 == 0 else 2},"
+              + ",".join(f"{v:.6f}" for v in rng.standard_normal(6))
+              for i in range(rows)]
+    return write_config(tmp_path, "\n".join(lines) + "\n", name=name)
 
 
 class TestParseValidate:
@@ -61,6 +71,20 @@ class TestParseValidate:
         _, errors, _ = cli.validate(cfg)
         assert any("bogus" in e for e in errors)
 
+    @pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+    def test_defaults_round_trip(self, tmp_path, name):
+        want = {"seed": 11, **cli.EXPERIMENTS[name].defaults}
+        text = "".join(
+            f"{key} = {', '.join(map(str, val)) if isinstance(val, list) else val}\n"
+            for key, val in want.items())
+        got = cli.parse_config(write_config(tmp_path, text), name).params
+        assert got == want
+
+        def types(v):
+            return [type(x) for x in v] if isinstance(v, list) else type(v)
+        assert {k: types(v) for k, v in got.items()} == \
+            {k: types(v) for k, v in want.items()}
+
 
 class TestRunExperiments:
     def test_mp_small(self, tmp_path):
@@ -72,6 +96,33 @@ class TestRunExperiments:
         lines = (tmp_path / "mp_summary.csv").read_text().splitlines()
         assert lines[0] == ("ratio,gamma,metric,empirical_mean,"
                             "empirical_stderr,theory,trials,status")
+
+    @pytest.mark.parametrize("experiment, text, key", [
+        ("mp", "c_list = 0", "c_list"),
+        ("ridge-sweep", "ratios = 0", "ratios"),
+        ("ridge-sweep", "gammas =", "gammas"),
+        ("rf-sweep", "d_over_n = 0", "d_over_n"),
+        ("rf-sweep", "p = 1", "p"),
+        pytest.param("rf-sweep", "n = 16\nn_test = 16\np = 6\ndataset = {data}",
+                     "dataset", id="rf-sweep-short-dataset"),
+        ("kernel-lin", "sizes = 0", "sizes"),
+        ("ck-depth", "p = 1", "p"),
+        ("ck-depth", "p = 1.5", "p"),
+        ("dynamics", "nodes = 0", "nodes"),
+        ("rf-sweep", "n_test = 0", "n_test"),
+        ("kernel-lin", "activation = tanh\nmc_samples = 0", "mc_samples"),
+        # a count key that the experiment does not define is an unknown key
+        ("tanh-demo", "p = 64", "p"),
+        ("mp", "trials = 5", "trials"),
+        ("kernel-lin", "n = 10", "n"),
+    ])
+    def test_bad_input_exit_2_names_key(self, tmp_path, capsys, experiment, text, key):
+        text = text.format(data=write_dataset(tmp_path, 30))  # 30 rows < n + n_test
+        path = write_config(tmp_path, f"seed = 1\n{text}\n")
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key}\b", err), err
+        assert "Traceback" not in err
 
     def test_validation_failure_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RMT_EQUIV_SEED", raising=False)
@@ -85,8 +136,7 @@ class TestRunExperiments:
             "seed = 4\nratios = 0.5, 2.0\ngammas = 0.1\ntrials = 2\np = 32\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["ridge-sweep", "--config", path, "--out", str(out1)]) == 0
-        assert cli.main(["ridge-sweep", "--config", path, "--out", str(out2),
-                         "--threads", "4"]) == 0
+        assert cli.main(["ridge-sweep", "--config", path, "--out", str(out2)]) == 0
         assert (out1 / "ridge_sweep.csv").read_bytes() == \
             (out2 / "ridge_sweep.csv").read_bytes()
 
@@ -109,14 +159,18 @@ class TestRunExperiments:
         rows = (tmp_path / "rf_sweep.csv").read_text().splitlines()
         assert len(rows) == 1 + 4  # header + 2 ratios x {train,test}
 
+    @pytest.mark.filterwarnings("error")
+    def test_rf_sweep_single_trial_warning_free(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            "seed = 2\nn = 48\np = 24\nn_test = 32\nd_over_n = 0.5, 1.0\n"
+            "trials = 1\ngamma = 0.1\n")
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "rf_sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == [""] * 4  # empirical_stderr
+
     def test_rf_sweep_with_dataset(self, tmp_path):
-        rng = np.random.default_rng(0)
-        lines = []
-        for i in range(30):
-            label = 1 if i % 2 == 0 else 2
-            feats = ",".join(f"{v:.6f}" for v in rng.standard_normal(6))
-            lines.append(f"{label},{feats}")
-        data = write_config(tmp_path, "\n".join(lines) + "\n", name="toy.csv")
+        data = write_dataset(tmp_path, 30)
         path = write_config(
             tmp_path,
             f"seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
@@ -124,13 +178,8 @@ class TestRunExperiments:
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 0
 
     def test_rf_sweep_dataset_flag_and_header(self, tmp_path):
-        rng = np.random.default_rng(1)
-        lines = ["label,f1,f2,f3,f4,f5,f6"]
-        for i in range(30):
-            label = 1 if i % 2 == 0 else 2
-            feats = ",".join(f"{v:.6f}" for v in rng.standard_normal(6))
-            lines.append(f"{label},{feats}")
-        data = write_config(tmp_path, "\n".join(lines) + "\n", name="toy2.csv")
+        data = write_dataset(tmp_path, 30, seed=1, name="toy2.csv",
+                             header="label,f1,f2,f3,f4,f5,f6")
         path = write_config(
             tmp_path,
             "seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"

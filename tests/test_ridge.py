@@ -171,12 +171,23 @@ class TestSweep:
         rows2 = ridge.sweep_double_descent(spec)
         assert rows1 == rows2
 
-    def test_threading_invariance(self):
-        spec1 = ridge.SweepSpec(ratios=[0.5, 2.0], gammas=[0.1, 1e-5], trials=2,
-                                p=32, sigma2=0.1, seed=7, threads=1)
-        spec4 = ridge.SweepSpec(ratios=[0.5, 2.0], gammas=[0.1, 1e-5], trials=2,
-                                p=32, sigma2=0.1, seed=7, threads=4)
-        assert ridge.sweep_double_descent(spec1) == ridge.sweep_double_descent(spec4)
+    def test_only_numerical_trial_failures_recorded(self, monkeypatch):
+        spec = ridge.SweepSpec(ratios=[2.0], gammas=[0.1], trials=2, p=16,
+                               sigma2=0.1, seed=7)
+
+        def raise_(exc):
+            def fit(*args, **kwargs):
+                raise exc
+            return fit
+
+        monkeypatch.setattr(ridge, "ridge_fit", raise_(np.linalg.LinAlgError("singular")))
+        rows = ridge.sweep_double_descent(spec)
+        assert [r.status for r in rows] == ["2-trials-failed"] * 2
+        assert all(r.trials == 0 and np.isnan(r.empirical_mean) for r in rows)
+        # a programming error is not a failed trial
+        monkeypatch.setattr(ridge, "ridge_fit", raise_(TypeError("bug")))
+        with pytest.raises(TypeError):
+            ridge.sweep_double_descent(spec)
 
     def test_double_descent_shape_small(self):
         # desk-size check: interior peak at ratio 1 for tiny gamma, none at 0.1
