@@ -1,63 +1,46 @@
 """Hot inner loops of the fixed-point solvers and the ReLU kernel, in plain numpy.
 
-The four functions are kept in one module so that they can be timed and
-traced as a layer of their own.
+Both deterministic-equivalent fixed points run the one damped loop
+``_damped_iterate``. The public functions are kept in one module so that they
+can be timed and traced as a layer of their own.
 """
 
 import numpy as np
 
 
-def delta_scm_iterate(c_eigs, n, z, tol, max_iter, delta0):
-    """Damped fixed-point iteration for the sample-covariance DE.
+def _damped_iterate(g, delta, tol, max_iter):
+    """Damped fixed-point iteration delta <- g(delta) from ``delta``.
 
-    Iterates delta <- (1/n) sum_i c_i / (c_i/(1+delta) - z) from delta0.
     A 0.5 damping factor kicks in permanently once the step direction
     reverses (oscillation). Returns (delta, residual, iterations, converged).
     """
-    delta = delta0 + 0.0j
     damping = 1.0
-    prev_step = 0.0 + 0.0j
+    prev_step = 0.0
     for k in range(max_iter):
-        target = np.sum(c_eigs / (c_eigs / (1.0 + delta) - z)) / n
-        step = target - delta
-        if k > 0 and (step.real * prev_step.real + step.imag * prev_step.imag) < 0.0:
+        step = g(delta) - delta
+        if k > 0 and (step * np.conj(prev_step)).real < 0.0:
             damping = 0.5
         new = delta + damping * step
         if abs(new - delta) <= tol:
-            resid = abs(np.sum(c_eigs / (c_eigs / (1.0 + new) - z)) / n - new)
-            return new, resid, k + 1, True
+            return new, abs(g(new) - new), k + 1, True
         prev_step = step
         delta = new
-    resid = abs(np.sum(c_eigs / (c_eigs / (1.0 + delta) - z)) / n - delta)
-    return delta, resid, max_iter, False
+    return delta, abs(g(delta) - delta), max_iter, False
+
+
+def delta_scm_iterate(c_eigs, n, z, tol, max_iter, delta0):
+    """Sample-covariance DE: delta <- (1/n) sum_i c_i / (c_i/(1+delta) - z)."""
+    return _damped_iterate(
+        lambda delta: np.sum(c_eigs / (c_eigs / (1.0 + delta) - z)) / n,
+        delta0 + 0.0j, tol, max_iter)
 
 
 def delta_gram_iterate(k_eigs, n, d, gamma, tol, max_iter, delta0):
-    """Damped fixed-point iteration for the nonlinear-Gram DE.
-
-    Iterates delta <- (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma).
-    Same damping rule as the SCM solver. Returns
-    (delta, residual, iterations, converged).
-    """
-    delta = delta0
-    damping = 1.0
-    prev_step = 0.0
+    """Nonlinear-Gram DE: delta <- (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma)."""
     ratio = d / n
-    for k in range(max_iter):
-        target = np.sum(k_eigs / (ratio * k_eigs / (1.0 + delta) + gamma)) / n
-        step = target - delta
-        if k > 0 and step * prev_step < 0.0:
-            damping = 0.5
-        new = delta + damping * step
-        if abs(new - delta) <= tol:
-            resid = abs(
-                np.sum(k_eigs / (ratio * k_eigs / (1.0 + new) + gamma)) / n - new
-            )
-            return new, resid, k + 1, True
-        prev_step = step
-        delta = new
-    resid = abs(np.sum(k_eigs / (ratio * k_eigs / (1.0 + delta) + gamma)) / n - delta)
-    return delta, resid, max_iter, False
+    return _damped_iterate(
+        lambda delta: np.sum(k_eigs / (ratio * k_eigs / (1.0 + delta) + gamma)) / n,
+        delta0, tol, max_iter)
 
 
 def theta_bisect(k_eigs, d_over_n, tol, max_iter):

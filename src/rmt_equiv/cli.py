@@ -9,7 +9,8 @@ lists are comma-separated). The seed is mandatory and may be overridden by the
 ``RMT_EQUIV_SEED`` environment variable. All numeric CSV values are written
 with 9 significant digits; identical configs produce byte-identical CSVs.
 
-Exit status: 0 success, 2 bad config or dataset, 3 numerical failure.
+Exit status: 0 success, 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
+non-finite number is a bad config), 3 numerical failure.
 """
 
 import argparse
@@ -26,11 +27,12 @@ from . import rf_nn
 from .det_equiv import MPParams, mp_cdf, mp_density
 from .errors import ConvergenceError, DatasetError, NearPhaseTransitionError, \
     SingularityError
-from .randgen import DataMatrix, gaussian_matrix, ingest_dataset, sphere_dataset
+from .randgen import NORMALIZATIONS, DataMatrix, gaussian_matrix, ingest_dataset, \
+    sphere_dataset
 from .results import ResultRow, write_csv, write_rows
 from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
     sweep_double_descent
-from .spectral import esd_histogram, ks_distance, measure_to_rows
+from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, measure_to_rows
 
 
 @dataclass
@@ -82,9 +84,15 @@ def _bound(params, keys, ok, rule):
     return [f"{k} {rule}" for k, v in vals.items() if not all(map(ok, v))]
 
 
+def _member(choices):
+    return lambda v: v in choices, f"must be one of {', '.join(choices)}"
+
+
 _POSITIVE = (lambda v: v > 0, "must be > 0")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _COUNT = (lambda v: v >= 1, "must be >= 1")
 _SPHERE_DIM = (lambda v: v >= 2, "must be >= 2 (a sphere dimension)")
+_ACTIVATION = _member(rf_nn.ACTIVATIONS)
 
 
 def validate(config: ExperimentConfig):
@@ -103,19 +111,28 @@ def validate(config: ExperimentConfig):
         filled[key] = val
     env_seed = os.environ.get("RMT_EQUIV_SEED")
     if env_seed is not None:
-        filled["seed"] = int(env_seed)
+        try:
+            filled["seed"] = int(env_seed)
+        except ValueError as exc:
+            errors.append(f"RMT_EQUIV_SEED: {exc}")
     if "seed" not in filled:
         errors.append("missing mandatory key 'seed'")
+    elif filled["seed"] < 0:
+        errors.append("seed must be >= 0")
 
-    errors += [f"{key} must not be empty" for key in entry.defaults
-               if isinstance(filled[key], list) and not filled[key]]
+    for key in entry.defaults:
+        vals = filled[key] if isinstance(filled[key], list) else [filled[key]]
+        if not vals:
+            errors.append(f"{key} must not be empty")
+        if not all(np.isfinite(v) for v in vals if isinstance(v, float)):
+            errors.append(f"{key} must be finite")
     check_errors, warnings_ = entry.check(filled)
     return ExperimentConfig(config.experiment, filled), errors + check_errors, warnings_
 
 
 def _check_ridge_sweep(params):
     errors = (_bound(params, "trials p", *_COUNT) + _bound(params, "ratios", *_POSITIVE)
-              + _bound(params, "gammas", lambda v: v >= 0, "must be >= 0"))
+              + _bound(params, "gammas sigma2 beta_norm2 theory_grid", *_NONNEGATIVE))
     warnings_ = [f"ratio {r} sits on the interpolation peak; theory value "
                  "will be near-singular at small gamma"
                  for r in params["ratios"]
@@ -126,8 +143,13 @@ def _check_ridge_sweep(params):
 
 def _check_rf_sweep(params):
     dims = [] if params["dataset"] else _bound(params, "p", *_SPHERE_DIM)
+    labels = ([] if len(set(params["labels"])) <= 2
+              else ["labels must hold at most two distinct values"])
     return (_bound(params, "n p n_test trials mc_samples", *_COUNT)
-            + _bound(params, "d_over_n gamma", *_POSITIVE) + dims), []
+            + _bound(params, "d_over_n gamma", *_POSITIVE)
+            + _bound(params, "sigma2", *_NONNEGATIVE) + dims + labels
+            + _bound(params, "activation", *_ACTIVATION)
+            + _bound(params, "normalization", *_member(NORMALIZATIONS))), []
 
 
 # ---------------------------------------------------------------- experiments
@@ -224,10 +246,13 @@ def _run_ridge_sweep(params, out):
 def _rf_data(params):
     n, p, n_test = params["n"], params["p"], params["n_test"]
     if params["dataset"]:
-        X_all, y_all = ingest_dataset(params["dataset"],
-                                      set(params["labels"]),
-                                      params["normalization"],
-                                      header=params.get("_header", False))
+        try:
+            X_all, y_all = ingest_dataset(params["dataset"],
+                                          set(params["labels"]),
+                                          params["normalization"],
+                                          header=params.get("_header", False))
+        except (OSError, ValueError) as exc:  # unreadable file or unusable entries
+            raise DatasetError(f"dataset {params['dataset']}: {exc}") from None
         if X_all.n < n + n_test:
             raise DatasetError(
                 f"dataset holds {X_all.n} filtered samples; need n+n_test={n + n_test}"
@@ -403,17 +428,27 @@ EXPERIMENTS = {
         {"sizes": [128, 256, 512, 1024], "activation": "relu",
          "mc_samples": 100_000},
         lambda params: (_bound(params, "sizes", *_SPHERE_DIM)
-                        + _bound(params, "mc_samples", *_COUNT), []),
+                        + _bound(params, "mc_samples", *_COUNT)
+                        + _bound(params, "activation", *_ACTIVATION), []),
         _run_kernel_lin),
     "ck-depth": Experiment(
         {"layers": 10, "n": 256, "p": 256, "width": 8192},
-        lambda params: (_bound(params, "layers n width", *_COUNT)
+        lambda params: (_bound(params, "n width", *_COUNT)
+                        + _bound(params, "layers", lambda v: v >= 2,
+                                 "must be >= 2 (the empirical CK gap uses layer 2)")
                         + _bound(params, "p", *_SPHERE_DIM), []),
         _run_ck_depth),
     "dynamics": Experiment(
         {"d": 24, "n": 40, "eta": 1.0,
          "times": [0.0, 0.1, 0.5, 1.0, 2.0, 5.0], "nodes": 512},
-        lambda params: (_bound(params, "d n nodes", *_COUNT), []), _run_dynamics),
+        lambda params: (_bound(params, "d n", *_COUNT)
+                        + _bound(params, "d", lambda v: v <= params["n"],
+                                 "must be <= n (the flow needs full-rank features)")
+                        + _bound(params, "nodes", lambda v: v >= MIN_CONTOUR_NODES,
+                                 f"must be >= {MIN_CONTOUR_NODES}")
+                        + _bound(params, "eta", *_POSITIVE)
+                        + _bound(params, "times", *_NONNEGATIVE), []),
+        _run_dynamics),
 }
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError
 from .results import write_csv
-from .spectral import ContourSpec, check_contour, circle_nodes
+from .spectral import ContourSpec, check_contour, circle_nodes, resolvent_forms
 
 #: exp(-eta t lambda_min) below e^-50 is saturated numerically
 TIME_SATURATION = 50.0
@@ -133,16 +133,10 @@ def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec)
         )
         t = t_cap
 
-    target = Phi @ y / n
     zs, dz_factors = circle_nodes(contour)
-    eye = np.eye(S.shape[0])
-    acc = 0.0 + 0.0j
-    for z, fac in zip(zs, dz_factors):
-        q = np.linalg.solve(S - z * eye, np.stack([beta0, target], axis=1))
-        expf = np.exp(-eta * t * z)
-        g = expf * (v @ q[:, 0]) - np.expm1(-eta * t * z) / z * (v @ q[:, 1])
-        acc += g * fac
-    val = -acc / contour.nodes
+    forms = resolvent_forms(S, v, np.stack([beta0, Phi @ y / n], axis=1), zs)
+    g = np.exp(-eta * t * zs) * forms[:, 0] - np.expm1(-eta * t * zs) / zs * forms[:, 1]
+    val = -np.sum(g * dz_factors) / contour.nodes
     if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
         raise ArithmeticError(f"non-real contour projection (Im={val.imag:.2e})")
     return float(val.real)

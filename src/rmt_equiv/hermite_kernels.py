@@ -19,6 +19,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .errors import DegenerateActivationError, DomainError
+from .randgen import as_array
 from .results import write_csv
 from .rf_nn import ActivationSpec
 
@@ -129,19 +130,15 @@ def normalize_activation(act: ActivationSpec, quadrature_order=60) -> Activation
     )
 
 
-def _ones_outer(n):
-    return np.ones((n, n))
-
-
 def linear_equivalent_kernel(X, coeffs: HermiteCoeffs):
     """Linear equivalent of the expected kernel on sphere-normalized data.
 
     K~ = a0^2 11^T + a1^2 X^T X + a2^2 (1/p) 11^T + (nu - a0^2 - a1^2) I.
     """
-    entries = X.entries if hasattr(X, "entries") else np.asarray(X, dtype=float)
+    entries = as_array(X)
     p, n = entries.shape
     K = coeffs.a1**2 * (entries.T @ entries)
-    K += (coeffs.a0**2 + coeffs.a2**2 / p) * _ones_outer(n)
+    K += (coeffs.a0**2 + coeffs.a2**2 / p) * np.ones((n, n))
     K += (coeffs.nu - coeffs.a0**2 - coeffs.a1**2) * np.eye(n)
     return K
 
@@ -173,17 +170,13 @@ def ck_alphas(activations, quadrature_order=60) -> CKLayerParams:
 def ck_linear_equivalent(X, layer_params: CKLayerParams, layer):
     """Linear equivalent of the depth-``layer`` CK matrix on sphere data.
 
-    K~_l = alpha_{l,1}^2 X^T X + alpha_{l,2}^2 (1/p) 11^T + (1 - alpha_{l,1}^2) I.
+    K~_l = alpha_{l,1}^2 X^T X + alpha_{l,2}^2 (1/p) 11^T + (1 - alpha_{l,1}^2) I,
+    the linear-equivalent kernel of coefficients (0, alpha_{l,1}, alpha_{l,2}, 1).
     """
     if not 0 <= layer < len(layer_params.alphas):
         raise ValueError(f"layer {layer} out of range")
     a1, a2 = layer_params.alphas[layer]
-    entries = X.entries if hasattr(X, "entries") else np.asarray(X, dtype=float)
-    p, n = entries.shape
-    K = a1**2 * (entries.T @ entries)
-    K += a2**2 / p * _ones_outer(n)
-    K += (1.0 - a1**2) * np.eye(n)
-    return K
+    return linear_equivalent_kernel(X, HermiteCoeffs(0.0, a1, a2, 1.0))
 
 
 def ntk_recursion(ck_list, ck_prime_list, gram0):

@@ -1,8 +1,7 @@
 """Seeded generation of random data matrices, regression targets, and CSV ingestion.
 
 All generators are pure functions of their arguments (including the seed), so
-identical calls produce bitwise-identical output. Parallel trial generation
-should derive per-trial seeds as ``seed + trial_index``.
+identical calls produce bitwise-identical output.
 """
 
 from dataclasses import dataclass, field
@@ -49,6 +48,11 @@ class DataMatrix:
             if np.linalg.norm(self.entries, 2) > 1.0 + 1e-10:
                 raise ValueError("global-spectral tag but spectral norm exceeds 1")
         return self
+
+
+def as_array(X):
+    """The entries of a DataMatrix, or X itself as a float array."""
+    return X.entries if isinstance(X, DataMatrix) else np.asarray(X, dtype=float)
 
 
 @dataclass
@@ -123,6 +127,10 @@ def linear_targets(X: DataMatrix, truth: GroundTruth, seed) -> np.ndarray:
     if truth.sigma2 > 0:
         y = y + rng.normal(0.0, np.sqrt(truth.sigma2), size=X.n)
     return y
+
+
+#: normalization tags that ``ingest_dataset`` accepts
+NORMALIZATIONS = ("none", "unit-sphere", "global-spectral")
 
 
 def _apply_normalization(entries, normalization):

@@ -16,6 +16,8 @@ from .errors import (
     DomainError,
     NearPhaseTransitionError,
 )
+from .randgen import as_array
+from .ridge import solve_ridge
 
 MAX_FP_ITERATIONS = 200_000
 
@@ -73,7 +75,7 @@ class NonlinearDE:
 def rf_features(W, X, act: ActivationSpec):
     """Entrywise activation of W X (features in rows, samples in columns)."""
     W = np.asarray(W, dtype=float)
-    entries = X.entries if hasattr(X, "entries") else np.asarray(X, dtype=float)
+    entries = as_array(X)
     if W.shape[1] != entries.shape[0]:
         raise ValueError(f"inner dimensions disagree: {W.shape} @ {entries.shape}")
     return act.evaluate(W @ entries)
@@ -82,19 +84,12 @@ def rf_features(W, X, act: ActivationSpec):
 def rf_fit(features, y, gamma):
     """Ridge readout beta = (Phi Phi^T/n + gamma I_d)^{-1} Phi y / n.
 
-    Solved through whichever of the two equivalent forms (d x d primal or
-    n x n dual) is smaller.
+    Solved by ``ridge.solve_ridge`` through the smaller of its primal and dual forms.
     """
     if not gamma > 0:
         raise ValueError("rf_fit requires gamma > 0 (ridgeless is a theory limit)")
-    Phi = np.asarray(features, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d, n = Phi.shape
-    if d <= n:
-        A = Phi @ Phi.T / n + gamma * np.eye(d)
-        return np.linalg.solve(A, Phi @ y / n)
-    B = Phi.T @ Phi / n + gamma * np.eye(n)
-    return Phi @ np.linalg.solve(B, y) / n
+    return solve_ridge(np.asarray(features, dtype=float), np.asarray(y, dtype=float),
+                       gamma)[0]
 
 
 def rf_empirical_mse(beta, features, y):
@@ -103,10 +98,6 @@ def rf_empirical_mse(beta, features, y):
     y = np.asarray(y, dtype=float)
     resid = y - Phi.T @ np.asarray(beta, dtype=float)
     return float(resid @ resid / y.size)
-
-
-def _entries(X):
-    return X.entries if hasattr(X, "entries") else np.asarray(X, dtype=float)
 
 
 def kernel_method(act: ActivationSpec):
@@ -122,7 +113,7 @@ def kernel_expectation(X, X2, act: ActivationSpec, method="analytic",
     (degree-1 arc-cosine kernel); method='monte-carlo' averages m fresh
     Gaussian draws and is the generic (and oracle-checkable) route.
     """
-    A, B = _entries(X), _entries(X2)
+    A, B = as_array(X), as_array(X2)
     if A.shape[0] != B.shape[0]:
         raise ValueError("X and X2 must share the ambient dimension p")
     if method == "analytic":

@@ -23,7 +23,8 @@ import numpy as np
 
 from .det_equiv import mp_stieltjes, mp_stieltjes_derivative
 from .errors import ConvergenceError, SingularityError
-from .randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets
+from .randgen import DataMatrix, GroundTruth, as_array, gaussian_matrix, \
+    linear_targets
 from .results import ResultRow
 
 #: |c - 1| below this flags a sweep point as sitting on the interpolation peak
@@ -43,28 +44,27 @@ class RiskPair:
     r_out: float
 
 
-def ridge_fit(X: DataMatrix, y, gamma) -> RidgeSolution:
-    """beta = (XX^T/n + gamma I)^{-1} X y / n, or the min-norm LS solution at gamma = 0.
+def solve_ridge(A, y, gamma):
+    """(A A^T/n + gamma I)^{-1} A y / n for a p x n matrix A and gamma > 0.
 
-    The gamma > 0 system is solved through whichever of the equivalent p x p
-    primal / n x n dual forms is smaller.
+    Solved through whichever of the equivalent p x p primal / n x n dual forms
+    is smaller. Returns (beta, 'primal' | 'dual').
     """
+    p, n = A.shape
+    if p <= n:
+        return np.linalg.solve(A @ A.T / n + gamma * np.eye(p), A @ y / n), "primal"
+    return A @ np.linalg.solve(A.T @ A / n + gamma * np.eye(n), y) / n, "dual"
+
+
+def ridge_fit(X: DataMatrix, y, gamma) -> RidgeSolution:
+    """beta = (XX^T/n + gamma I)^{-1} X y / n, or the min-norm LS solution at gamma = 0."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    A = X.entries
     y = np.asarray(y, dtype=float)
-    p, n = A.shape
     if gamma == 0:
-        beta, *_ = np.linalg.lstsq(A.T, y, rcond=None)
+        beta, *_ = np.linalg.lstsq(X.entries.T, y, rcond=None)
         return RidgeSolution(beta, 0.0, "pseudoinverse")
-    if p <= n:
-        M = A @ A.T / n + gamma * np.eye(p)
-        beta = np.linalg.solve(M, A @ y / n)
-        via = "primal"
-    else:
-        M = A.T @ A / n + gamma * np.eye(n)
-        beta = A @ np.linalg.solve(M, y) / n
-        via = "dual"
+    beta, via = solve_ridge(X.entries, y, gamma)
     return RidgeSolution(beta, float(gamma), via)
 
 
@@ -114,7 +114,7 @@ def empirical_risks(solution: RidgeSolution, truth: GroundTruth, X: DataMatrix,
         r_out = float(diff @ diff)
     else:
         X_test, _ = test
-        B = X_test.entries if hasattr(X_test, "entries") else np.asarray(X_test)
+        B = as_array(X_test)
         resid = B.T @ diff
         r_out = float(resid @ resid) / B.shape[1]
     return RiskPair(r_in=r_in, r_out=r_out)

@@ -19,6 +19,8 @@ from .errors import EmptyContourError, SingularityError
 
 #: minimum allowed distance between a contour and any eigenvalue
 CONTOUR_CLEARANCE = 1e-8
+#: fewest trapezoid nodes a contour may have
+MIN_CONTOUR_NODES = 16
 
 
 @dataclass
@@ -40,8 +42,9 @@ class ContourSpec:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("contour radius must be positive")
-        if self.nodes < 16:
-            raise ValueError("contour needs at least 16 quadrature nodes")
+        if self.nodes < MIN_CONTOUR_NODES:
+            raise ValueError(
+                f"contour needs at least {MIN_CONTOUR_NODES} quadrature nodes")
 
 
 @dataclass
@@ -169,6 +172,16 @@ def check_contour(eigenvalues, contour: ContourSpec):
     return inside
 
 
+def resolvent_forms(S, a, B, zs):
+    """a^T (S - z I)^{-1} B at each node z of ``zs``, stacked along the first axis.
+
+    One solve per node: a stacked solve over all nodes would hold
+    nodes x n^2 complex entries at once.
+    """
+    eye = np.eye(S.shape[0])
+    return np.array([a @ np.linalg.solve(S - z * eye, B) for z in zs])
+
+
 def contour_functional(S, f, a, b, contour: ContourSpec):
     """Contour-integration evaluation of a scalar eigenspectral functional.
 
@@ -180,15 +193,9 @@ def contour_functional(S, f, a, b, contour: ContourSpec):
     lam = np.linalg.eigvalsh(S)
     inside = check_contour(lam, contour)
     n_inside = int(inside.sum())
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=complex)
     zs, dz_factors = circle_nodes(contour)
-    n = S.shape[0]
-    eye = np.eye(n)
-    vals = np.empty(contour.nodes, dtype=complex)
-    for k, z in enumerate(zs):
-        q = np.linalg.solve(S - z * eye, b)
-        vals[k] = a @ q
+    vals = resolvent_forms(S, np.asarray(a, dtype=float), np.asarray(b, dtype=float),
+                           zs)
     # oint g(z) dz  ~  (2 pi / N) sum_k g(z_k) * i * radius * e^{i theta_k};
     # the -1/(2 pi i) prefactor cancels to -(1/N) sum_k g(z_k) radius e^{i theta_k}
     total = -np.sum(f(zs) * vals * dz_factors) / (contour.nodes * n_inside)

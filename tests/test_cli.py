@@ -1,17 +1,34 @@
 """Config parsing/validation and end-to-end experiment runs at desk scale."""
 
+import io
+import math
 import re
+import string
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmt_equiv import cli
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 def write_config(tmp_path, text, name="cfg.txt"):
     f = tmp_path / name
     f.write_text(text, encoding="utf-8")
     return str(f)
+
+
+def config_text(params):
+    """``key = value`` lines, lists comma-separated."""
+    return "".join(
+        f"{key} = {', '.join(map(str, val)) if isinstance(val, list) else val}\n"
+        for key, val in params.items())
 
 
 def write_dataset(tmp_path, rows, seed=0, name="toy.csv", header=None):
@@ -74,10 +91,7 @@ class TestParseValidate:
     @pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
     def test_defaults_round_trip(self, tmp_path, name):
         want = {"seed": 11, **cli.EXPERIMENTS[name].defaults}
-        text = "".join(
-            f"{key} = {', '.join(map(str, val)) if isinstance(val, list) else val}\n"
-            for key, val in want.items())
-        got = cli.parse_config(write_config(tmp_path, text), name).params
+        got = cli.parse_config(write_config(tmp_path, config_text(want)), name).params
         assert got == want
 
         def types(v):
@@ -85,8 +99,52 @@ class TestParseValidate:
         assert {k: types(v) for k, v in got.items()} == \
             {k: types(v) for k, v in want.items()}
 
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_shipped_config_validates(self, path):
+        name = {"ridge_fig": "ridge-sweep"}.get(path.stem, path.stem.replace("_", "-"))
+        _, errors, _ = cli.validate(cli.parse_config(str(path), name))
+        assert not errors
+
+
+# toy sizes per experiment, so that every run of the property test is quick
+TOY = {
+    "mp": {"p": 16, "c_list": [0.5, 2.0], "bins": 8},
+    "tanh-demo": {"n": 20, "draws": 40, "bins": 8},
+    "ridge-sweep": {"ratios": [0.5, 2.0], "gammas": [0.1], "trials": 2, "p": 8},
+    "rf-sweep": {"n": 16, "p": 6, "n_test": 8, "d_over_n": [0.5, 2.0], "trials": 2,
+                 "mc_samples": 50},
+    "kernel-lin": {"sizes": [8], "mc_samples": 50},
+    "ck-depth": {"layers": 3, "n": 12, "p": 12, "width": 32},
+    "dynamics": {"d": 6, "n": 12, "times": [0.0, 1.0], "nodes": 32},
+}
+# the text pool has no digits: a digit string for a size key could ask for an
+# array of any size
+VALUES = st.one_of(
+    st.integers(-3, 40),
+    st.sampled_from([-1.0, 0.0, 0.5, 2.0, math.nan, math.inf, -math.inf]),
+    st.text(string.ascii_letters + " ._-/,#=", min_size=1, max_size=12),
+    st.just(""),
+)
+
 
 class TestRunExperiments:
+    @pytest.mark.parametrize("experiment", list(TOY))
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, experiment, data):
+        """One key replaced by a small bad value: exit 0, 2 or 3, never a traceback."""
+        params = {"seed": 1, **TOY[experiment]}
+        keys = ["seed", *cli.EXPERIMENTS[experiment].defaults]
+        key = data.draw(st.sampled_from(keys))
+        params[key] = data.draw(VALUES)
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            path = write_config(Path(tmp), config_text(params))
+            rc = cli.main([experiment, "--config", path, "--out", tmp])
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
     def test_mp_small(self, tmp_path):
         path = write_config(tmp_path, "seed = 0\np = 128\nc_list = 0.5\nbins = 24\n")
         rc = cli.main(["mp", "--config", path, "--out", str(tmp_path)])
@@ -115,6 +173,30 @@ class TestRunExperiments:
         ("tanh-demo", "p = 64", "p"),
         ("mp", "trials = 5", "trials"),
         ("kernel-lin", "n = 10", "n"),
+        ("rf-sweep", "dataset = /nonexistent/x.csv", "dataset"),
+        ("mp", "seed = -1", "seed"),
+        # non-finite numbers
+        ("rf-sweep", "d_over_n = inf", "d_over_n"),
+        ("ridge-sweep", "ratios = inf", "ratios"),
+        ("rf-sweep", "gamma = inf", "gamma"),
+        ("ridge-sweep", "gammas = inf", "gammas"),
+        ("dynamics", "eta = inf", "eta"),
+        ("dynamics", "times = nan", "times"),
+        ("mp", "c_list = inf", "c_list"),
+        # config errors that used to surface as numerical failures or pass
+        ("rf-sweep", "activation = softplus", "activation"),
+        ("kernel-lin", "activation = softplus", "activation"),
+        ("rf-sweep", "normalization = max", "normalization"),
+        ("rf-sweep", "labels = 1, 2, 3", "labels"),
+        ("ridge-sweep", "sigma2 = -1", "sigma2"),
+        ("ridge-sweep", "beta_norm2 = -1", "beta_norm2"),
+        ("ridge-sweep", "theory_grid = -1", "theory_grid"),
+        ("dynamics", "eta = 0", "eta"),
+        ("dynamics", "times = 0, -1", "times"),
+        ("dynamics", "nodes = 8", "nodes"),
+        ("dynamics", "d = 30\nn = 20", "d"),
+        ("ck-depth", "layers = 1", "layers"),
+        ("rf-sweep", "sigma2 = -1", "sigma2"),
     ])
     def test_bad_input_exit_2_names_key(self, tmp_path, capsys, experiment, text, key):
         text = text.format(data=write_dataset(tmp_path, 30))  # 30 rows < n + n_test
@@ -122,6 +204,14 @@ class TestRunExperiments:
         assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert re.search(rf"\b{key}\b", err), err
+        assert "Traceback" not in err
+
+    def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RMT_EQUIV_SEED", "abc")
+        path = write_config(tmp_path, "seed = 1\np = 16\n")
+        assert cli.main(["mp", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: RMT_EQUIV_SEED: " in err, err
         assert "Traceback" not in err
 
     def test_validation_failure_exit_2(self, tmp_path, monkeypatch):
