@@ -32,7 +32,8 @@ from .randgen import NORMALIZATIONS, DataMatrix, gaussian_matrix, ingest_dataset
 from .results import ResultRow, write_csv, write_rows
 from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
     sweep_double_descent
-from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, measure_to_rows
+from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, measure_to_rows, \
+    symmetric_norm
 
 
 @dataclass
@@ -152,13 +153,28 @@ def _check_rf_sweep(params):
             + _bound(params, "normalization", *_member(NORMALIZATIONS))), []
 
 
+def _mp_n(p, c):
+    """Sample count n that simulates the requested ratio c = p / n."""
+    return max(1, int(round(p / c)))
+
+
+def _check_mp(params):
+    errors = _bound(params, "p bins", *_COUNT) + _bound(params, "c_list", *_POSITIVE)
+    if errors:
+        return errors, []
+    p = params["p"]
+    return [], [f"c_list entry {c:g} simulates p/n = {p / _mp_n(p, c):g} with p = {p};"
+                " its files keep the requested tag, mp_summary.csv reports p/n"
+                for c in params["c_list"] if p / _mp_n(p, c) != c]
+
+
 # ---------------------------------------------------------------- experiments
 
 def _run_mp(params, out):
     rows = []
     p = params["p"]
     for c in params["c_list"]:
-        n = max(1, int(round(p / c)))
+        n = _mp_n(p, c)
         X = gaussian_matrix(p, n, 1.0, params["seed"])
         lam = np.linalg.eigvalsh(X.entries @ X.entries.T / n)
         # rank deficiency at c > 1 produces exact zeros up to rounding; clamp
@@ -320,7 +336,7 @@ def _run_kernel_lin(params, out):
         K = rf_nn.kernel_expectation(X, X, act, method=rf_nn.kernel_method(act),
                                      m=params["mc_samples"], seed=params["seed"])
         Kt = hk.linear_equivalent_kernel(X, coeffs)
-        gap = np.linalg.norm(K - Kt, 2) / np.linalg.norm(Kt, 2)
+        gap = symmetric_norm(K - Kt) / symmetric_norm(Kt)
         rows.append(ResultRow(ratio=float(size), gamma=0.0,
                               metric="linearization_gap", empirical_mean=float(gap),
                               empirical_stderr=0.0, theory=0.0, trials=1))
@@ -342,15 +358,20 @@ def _run_ck_depth(params, out):
                               empirical_stderr=0.0, theory=float("nan"), trials=1))
         rows.append(ResultRow(ratio=float(layer), gamma=0.0,
                               metric="distance_to_identity",
-                              empirical_mean=float(np.linalg.norm(Kt - eye, 2)),
+                              empirical_mean=symmetric_norm(Kt - eye),
                               empirical_stderr=0.0, theory=float("nan"), trials=1))
     # empirical two-layer CK at the requested width
     rng = np.random.default_rng(params["seed"] + 1)
     W1 = rng.standard_normal((width, p))
-    W2 = rng.standard_normal((width, width)) / np.sqrt(width)
-    P2 = act.evaluate(W2 @ act.evaluate(W1 @ X.entries))
+    P1 = act.evaluate(W1 @ X.entries)
+    # W2 is drawn in row blocks: successive draws from one generator give the
+    # rows of the single width x width draw, without holding all of it
+    P2 = np.empty((width, n))
+    for start in range(0, width, 512):
+        W2_rows = rng.standard_normal((min(512, width - start), width)) / np.sqrt(width)
+        P2[start:start + len(W2_rows)] = act.evaluate(W2_rows @ P1)
     K2t = hk.ck_linear_equivalent(X, alphas, 2)
-    gap = np.linalg.norm(P2.T @ P2 / width - K2t, 2) / np.linalg.norm(K2t, 2)
+    gap = symmetric_norm(P2.T @ P2 / width - K2t) / symmetric_norm(K2t)
     rows.append(ResultRow(ratio=2.0, gamma=0.0, metric="empirical_ck_gap",
                           empirical_mean=float(gap), empirical_stderr=0.0,
                           theory=0.0, trials=1))
@@ -407,9 +428,7 @@ def _run_dynamics(params, out):
 EXPERIMENTS = {
     "mp": Experiment(
         {"c_list": [0.1, 0.5, 1.0, 2.0], "p": 1024, "bins": 60},
-        lambda params: (_bound(params, "p bins", *_COUNT)
-                        + _bound(params, "c_list", *_POSITIVE), []),
-        _run_mp),
+        _check_mp, _run_mp),
     "tanh-demo": Experiment(
         {"n": 500, "draws": 2000, "bins": 50},
         lambda params: (_bound(params, "n draws bins", *_COUNT), []), _run_tanh_demo),

@@ -80,8 +80,11 @@ def gaussian_matrix(rows, cols, variance, seed) -> DataMatrix:
     _check_dims(rows, cols)
     if not variance > 0:
         raise ValueError("variance must be positive")
-    rng = np.random.default_rng(seed)
-    entries = rng.normal(0.0, np.sqrt(variance), size=(rows, cols))
+    # the same values as rng.normal(0.0, sqrt(variance), ...), which computes
+    # 0 + sqrt(variance) * z, without the extra pass at unit variance
+    entries = np.random.default_rng(seed).standard_normal((rows, cols))
+    if variance != 1:
+        entries *= np.sqrt(variance)
     return DataMatrix(entries, {"distribution": "gaussian", "seed": seed,
                                 "normalization": "none", "variance": variance})
 

@@ -56,14 +56,29 @@ def solve_ridge(A, y, gamma):
     return A @ np.linalg.solve(A.T @ A / n + gamma * np.eye(n), y) / n, "dual"
 
 
+def min_norm_solve(A, y):
+    """Min-norm minimizer of ||A^T beta - y|| for a p x n matrix A, at any rank.
+
+    Uses the eigendecomposition of the smaller Gram matrix: (A A^T)^+ A y if
+    p <= n, else A (A^T A)^+ y. Eigenvalues at or below lambda_max max(p, n) eps
+    count as zero (numpy's pinv cut-off, applied to the Gram spectrum).
+    """
+    p, n = A.shape
+    lam, U = np.linalg.eigh(A @ A.T if p <= n else A.T @ A)
+    keep = lam > lam[-1] * max(p, n) * np.finfo(float).eps
+    U, lam = U[:, keep], lam[keep]
+    if p <= n:
+        return U @ ((U.T @ (A @ y)) / lam)
+    return A @ (U @ ((U.T @ y) / lam))
+
+
 def ridge_fit(X: DataMatrix, y, gamma) -> RidgeSolution:
     """beta = (XX^T/n + gamma I)^{-1} X y / n, or the min-norm LS solution at gamma = 0."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     y = np.asarray(y, dtype=float)
     if gamma == 0:
-        beta, *_ = np.linalg.lstsq(X.entries.T, y, rcond=None)
-        return RidgeSolution(beta, 0.0, "pseudoinverse")
+        return RidgeSolution(min_norm_solve(X.entries, y), 0.0, "pseudoinverse")
     beta, via = solve_ridge(X.entries, y, gamma)
     return RidgeSolution(beta, float(gamma), via)
 
@@ -160,7 +175,7 @@ def ridgeless_limits(c, beta_norm2, sigma2) -> RiskPair:
 class SweepSpec:
     """Configuration of a double-descent Monte Carlo sweep."""
 
-    ratios: list          # n/p values
+    ratios: list          # requested n/p values; n = round(ratio * p)
     gammas: list
     trials: int = 30
     p: int = 512
@@ -204,7 +219,8 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
         th_in = th_out = float("nan")
         status = "peak"
 
-    return [ResultRow.from_trials(ratio, gamma, metric, vals, th, status)
+    # the row reports the simulated ratio n/p, which the theory above uses too
+    return [ResultRow.from_trials(n / p, gamma, metric, vals, th, status)
             for metric, vals, th in (("r_in", r_in_vals, th_in),
                                      ("r_out", r_out_vals, th_out))]
 

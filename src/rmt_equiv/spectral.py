@@ -65,6 +65,13 @@ def eigh(S) -> SpectralDecomposition:
     return SpectralDecomposition(lam, U)
 
 
+def symmetric_norm(S):
+    """Spectral norm of a symmetric matrix: its largest |eigenvalue|, no SVD.
+
+    Reads only the lower triangle of ``S``."""
+    return float(np.abs(np.linalg.eigvalsh(S)).max())
+
+
 def esd_histogram(eigenvalues, bins, range_) -> EmpiricalMeasure:
     """Normalized counting measure of eigenvalues on equal-width bins.
 

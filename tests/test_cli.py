@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmt_equiv import cli
+from rmt_equiv import cli, randgen, rf_nn
+from rmt_equiv import hermite_kernels as hk
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -98,6 +99,17 @@ class TestParseValidate:
             return [type(x) for x in v] if isinstance(v, list) else type(v)
         assert {k: types(v) for k, v in got.items()} == \
             {k: types(v) for k, v in want.items()}
+
+    def test_mp_simulated_ratio_warning(self, tmp_path):
+        # p = 16, c = 40 simulates n = 1, so p/n = 16
+        cfg = cli.parse_config(write_config(tmp_path, "seed = 1\np = 16\nc_list = 40\n"),
+                               "mp")
+        _, errors, warnings_ = cli.validate(cfg)
+        assert not errors
+        assert len(warnings_) == 1 and "c_list" in warnings_[0]
+        shipped = next(path for path in CONFIGS if path.stem == "mp")
+        _, errors, warnings_ = cli.validate(cli.parse_config(str(shipped), "mp"))
+        assert not errors and not warnings_
 
     @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
     def test_shipped_config_validates(self, path):
@@ -291,6 +303,20 @@ class TestRunExperiments:
         assert cli.main(["ck-depth", "--config", path, "--out", str(tmp_path)]) == 0
         text = (tmp_path / "ck_depth.csv").read_text()
         assert "alpha1" in text and "empirical_ck_gap" in text
+
+    def test_ck_depth_blocked_draw_matches_one_draw(self, tmp_path):
+        # width 700 is one full 512-row block of W2 plus a partial one
+        params = {"seed": 5, "layers": 2, "n": 12, "p": 12, "width": 700}
+        gap = cli._run_ck_depth(params, str(tmp_path))
+        act = hk.normalize_activation(rf_nn.get_activation("tanh"))
+        X = randgen.sphere_dataset(12, 12, 5)
+        rng = np.random.default_rng(6)
+        W1 = rng.standard_normal((700, 12))
+        W2 = rng.standard_normal((700, 700)) / np.sqrt(700)
+        P2 = act.evaluate(W2 @ act.evaluate(W1 @ X.entries))
+        K2t = hk.ck_linear_equivalent(X, hk.ck_alphas([act] * 2), 2)
+        want = np.linalg.norm(P2.T @ P2 / 700 - K2t, 2) / np.linalg.norm(K2t, 2)
+        assert gap == pytest.approx(want, rel=1e-10)
 
     def test_dynamics_small(self, tmp_path):
         path = write_config(tmp_path,

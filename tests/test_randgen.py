@@ -35,6 +35,12 @@ class TestGaussianMatrix:
         with pytest.raises(ValueError):
             randgen.gaussian_matrix(3, 3, 0.0, 0)
 
+    @pytest.mark.parametrize("variance", [1.0, 2.5])
+    def test_same_values_as_generator_normal(self, variance):
+        X = randgen.gaussian_matrix(30, 20, variance, 9)
+        want = np.random.default_rng(9).normal(0.0, np.sqrt(variance), (30, 20))
+        assert np.array_equal(X.entries, want)
+
     def test_variance_contract(self):
         X = randgen.gaussian_matrix(1000, 1000, 2.0, 5)
         pn = X.entries.size

@@ -36,6 +36,30 @@ class TestRidgeFit:
         sol = ridge.ridge_fit(DataMatrix(A), y, gamma)
         assert np.abs(sol.beta - primal).max() <= 1e-10
 
+    @pytest.mark.parametrize("p, n", [(32, 64), (32, 16)])
+    def test_ridgeless_matches_lstsq(self, p, n):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((p, n))
+        y = rng.standard_normal(n)
+        want = np.linalg.lstsq(A.T, y, rcond=None)[0]
+        got = ridge.ridge_fit(DataMatrix(A), y, 0.0).beta
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("p, n", [(32, 64), (32, 16)])
+    def test_ridgeless_rank_deficient_matches_lstsq(self, p, n):
+        # a repeated feature and a repeated sample make both Gram matrices
+        # singular; a plain solve on either returns a vector that is not a
+        # least-squares solution
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((p, n))
+        A[1] = A[0]
+        A[:, 1] = A[:, 0]
+        y = rng.standard_normal(n)
+        want = np.linalg.lstsq(A.T, y, rcond=None)[0]
+        sol = ridge.ridge_fit(DataMatrix(A), y, 0.0)
+        assert np.linalg.norm(sol.beta - want) <= 1e-10 * np.linalg.norm(want)
+        assert sol.solved_via == "pseudoinverse"
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             ridge.ridge_fit(DataMatrix(np.ones((2, 2))), np.ones(2), -0.1)
@@ -216,6 +240,15 @@ class TestSweep:
         means = np.array([r.empirical_mean for r in rows])
         slope = np.polyfit(np.log(ns), np.log(means), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.1)
+
+    def test_rows_report_simulated_ratio(self):
+        # n = round(0.55 * 16) = 9, so the row reports 9 / 16, the ratio the
+        # theory uses, not the requested 0.55
+        spec = ridge.SweepSpec(ratios=[0.55], gammas=[0.1], trials=2, p=16,
+                               sigma2=0.1, seed=2)
+        rows = ridge.sweep_double_descent(spec)
+        assert [r.ratio for r in rows] == [9 / 16, 9 / 16]
+        assert rows[1].theory == ridge.risk_theory(0.1, 16 / 9, 1.0, 0.1).r_out
 
     def test_peak_row_flagged(self):
         spec = ridge.SweepSpec(ratios=[1.0], gammas=[0.0], trials=2, p=16,

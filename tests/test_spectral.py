@@ -42,6 +42,15 @@ class TestEigh:
             spectral.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+class TestSymmetricNorm:
+    def test_negative_extreme_eigenvalue(self):
+        S = random_symmetric(10, 2) - 5.0 * np.eye(10)
+        lam = np.linalg.eigvalsh(S)
+        assert abs(lam[0]) > abs(lam[-1])  # the largest |eigenvalue| is negative
+        assert spectral.symmetric_norm(S) == pytest.approx(np.linalg.norm(S, 2),
+                                                           rel=1e-12)
+
+
 class TestEsdHistogram:
     def test_single_atom(self):
         m = spectral.esd_histogram(np.full(5, 0.45), 10, (0, 1))
