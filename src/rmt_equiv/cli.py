@@ -146,7 +146,7 @@ def _check_rf_sweep(params):
     dims = [] if params["dataset"] else _bound(params, "p", *_SPHERE_DIM)
     labels = ([] if len(set(params["labels"])) <= 2
               else ["labels must hold at most two distinct values"])
-    return (_bound(params, "n p n_test trials mc_samples", *_COUNT)
+    return (_bound(params, "n p n_test trials", *_COUNT)
             + _bound(params, "d_over_n gamma", *_POSITIVE)
             + _bound(params, "sigma2", *_NONNEGATIVE) + dims + labels
             + _bound(params, "activation", *_ACTIVATION)
@@ -295,8 +295,7 @@ def _run_rf_sweep(params, out):
     act = rf_nn.get_activation(params["activation"])
     Xtr, ytr, Xte, yte = _rf_data(params)
     n = ytr.size
-    kernels = rf_nn.kernel_triplet(Xtr, Xte, act, method=rf_nn.kernel_method(act),
-                                   m=params["mc_samples"], seed=params["seed"])
+    kernels = rf_nn.kernel_triplet(Xtr, Xte, act)
     gamma, trials = params["gamma"], params["trials"]
     rows = []
     for i, dn in enumerate(params["d_over_n"]):
@@ -333,8 +332,7 @@ def _run_kernel_lin(params, out):
     rows = []
     for size in params["sizes"]:
         X = sphere_dataset(size, size, params["seed"] + size)
-        K = rf_nn.kernel_expectation(X, X, act, method=rf_nn.kernel_method(act),
-                                     m=params["mc_samples"], seed=params["seed"])
+        K = rf_nn.kernel_expectation(X, X, act)
         Kt = hk.linear_equivalent_kernel(X, coeffs)
         gap = symmetric_norm(K - Kt) / symmetric_norm(Kt)
         rows.append(ResultRow(ratio=float(size), gamma=0.0,
@@ -440,14 +438,11 @@ EXPERIMENTS = {
     "rf-sweep": Experiment(
         {"d_over_n": [0.25, 0.5, 1.0, 2.0], "n": 512, "p": 256, "n_test": 512,
          "gamma": 0.1, "trials": 30, "activation": "relu", "sigma2": 0.0,
-         "dataset": "", "labels": [1.0, 2.0], "normalization": "unit-sphere",
-         "mc_samples": 100_000},
+         "dataset": "", "labels": [1.0, 2.0], "normalization": "unit-sphere"},
         _check_rf_sweep, _run_rf_sweep),
     "kernel-lin": Experiment(
-        {"sizes": [128, 256, 512, 1024], "activation": "relu",
-         "mc_samples": 100_000},
+        {"sizes": [128, 256, 512, 1024], "activation": "relu"},
         lambda params: (_bound(params, "sizes", *_SPHERE_DIM)
-                        + _bound(params, "mc_samples", *_COUNT)
                         + _bound(params, "activation", *_ACTIVATION), []),
         _run_kernel_lin),
     "ck-depth": Experiment(

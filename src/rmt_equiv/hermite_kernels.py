@@ -1,5 +1,5 @@
-"""Normalized Hermite polynomials, activation Hermite coefficients, and the
-linear-equivalent kernels they induce for shallow and deep random networks.
+"""Normalized Hermite polynomials, activation Hermite coefficients, and the exact
+(Mehler series) and linear-equivalent kernels they induce for random networks.
 
 Coefficients are the expansion of an activation against the *normalized*
 probabilists' Hermite polynomials under the standard Gaussian measure:
@@ -13,7 +13,7 @@ activations used in practice (ReLU, |t|, sign all kink at 0); plain
 Gauss-Hermite stalls near 1e-3 on those no matter the order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -21,26 +21,12 @@ from numpy.polynomial import legendre
 from .errors import DegenerateActivationError, DomainError
 from .randgen import as_array
 from .results import write_csv
-from .rf_nn import ActivationSpec
 
 SQRT2PI = np.sqrt(2.0 * np.pi)
 #: integration half-range; exp(-T^2/2) ~ 3e-37 is far below coefficient tolerances
 QUAD_HALF_RANGE = 13.0
-
-_FACTORIAL = [1, 1, 2, 6, 24, 120, 720, 5040, 40320]
-
-# monomial coefficients of the *unnormalized* probabilists' Hermite polynomials
-_HERMITE_MONOMIALS = {
-    0: [1],
-    1: [0, 1],
-    2: [-1, 0, 1],
-    3: [0, -3, 0, 1],
-    4: [3, 0, -6, 0, 1],
-    5: [0, 15, 0, -10, 0, 1],
-    6: [-15, 0, 45, 0, -15, 0, 1],
-    7: [0, -105, 0, 105, 0, -21, 0, 1],
-    8: [105, 0, -420, 0, 210, 0, -28, 0, 1],
-}
+#: degree K of the Mehler series in ``mehler_kernel``
+MEHLER_DEGREE = 40
 
 
 @dataclass
@@ -60,16 +46,21 @@ class CKLayerParams:
     alphas: list
 
 
-def hermite_poly(i, t):
-    """Normalized Hermite polynomial He_i(t), i <= 8 (hardcoded table)."""
-    if not 0 <= i <= 8:
-        raise ValueError(f"hermite_poly supports degrees 0..8, got {i}")
+def hermite_table(degree, t):
+    """Normalized Hermite polynomials He_0(t) .. He_degree(t), stacked on axis 0,
+    by the recurrence He_{k+1} = (t He_k - sqrt(k) He_{k-1}) / sqrt(k+1)."""
+    if degree < 0:
+        raise ValueError(f"Hermite degree must be >= 0, got {degree}")
     t = np.asarray(t, dtype=float)
-    coeffs = _HERMITE_MONOMIALS[i]
-    out = np.zeros_like(t)
-    for k in range(len(coeffs) - 1, -1, -1):
-        out = out * t + coeffs[k]
-    return out / np.sqrt(_FACTORIAL[i])
+    rows = [np.ones_like(t), t]
+    for k in range(1, degree):
+        rows.append((t * rows[k] - np.sqrt(k) * rows[k - 1]) / np.sqrt(k + 1))
+    return np.stack(rows[:degree + 1])
+
+
+def hermite_poly(i, t):
+    """Normalized Hermite polynomial He_i(t), any degree i >= 0."""
+    return hermite_table(i, t)[i]
 
 
 def _half_line_rule(order):
@@ -80,40 +71,46 @@ def _half_line_rule(order):
 
 
 def gaussian_expectation(g, order):
-    """E[g(xi)], xi ~ N(0,1), by zero-split Gauss-Legendre with Gaussian weight."""
+    """E[g(xi)], xi ~ N(0,1), by zero-split Gauss-Legendre with Gaussian weight.
+    ``g`` may stack integrands (nodes on the last axis); each is checked alone."""
     t, w = _half_line_rule(order)
-    weighted = np.concatenate([w, w]) * np.concatenate([g(t), g(-t)])
+    weighted = np.concatenate([w, w]) * np.concatenate([g(t), g(-t)], axis=-1)
     if not np.all(np.isfinite(weighted)):
         raise DomainError(
             "quadrature overflow: activation grows faster than the Gaussian decays"
         )
     # the weighted integrand must have decayed at the edge of the window,
     # otherwise the Gaussian integral itself is divergent (super-exponential g)
-    edge = max(abs(weighted[order - 1]), abs(weighted[-1]))
-    total = np.abs(weighted).sum()
-    if total > 0 and edge > 1e-10 * total:
+    edge = np.maximum(abs(weighted[..., order - 1]), abs(weighted[..., -1]))
+    if np.any(edge > 1e-10 * np.abs(weighted).sum(axis=-1)):
         raise DomainError(
             "integrand has not decayed at |t| = 13: activation appears to grow "
             "super-exponentially and is not square-integrable under the Gaussian"
         )
-    return float(weighted.sum())
+    return weighted.sum(axis=-1)
 
 
-def hermite_coeffs(act: ActivationSpec, quadrature_order=60) -> HermiteCoeffs:
-    """a0, a1, a2 and nu of an activation under the standard Gaussian measure."""
+def scaled_coeffs(act, scales, degree, quadrature_order=60):
+    """``(c, energy)`` with c[i, k] = E[phi(a_i xi) He_k(xi)] for k = 0..degree
+    and energy[i] = E[phi(a_i xi)^2], for each scale a_i, from one quadrature."""
     if quadrature_order < 20:
         raise ValueError("quadrature order must be at least 20")
-    phi = act.evaluate
-    a0 = gaussian_expectation(phi, quadrature_order)
-    a1 = gaussian_expectation(lambda t: phi(t) * t, quadrature_order)
-    a2 = gaussian_expectation(
-        lambda t: phi(t) * hermite_poly(2, t), quadrature_order
-    )
-    nu = gaussian_expectation(lambda t: phi(t) ** 2, quadrature_order)
-    return HermiteCoeffs(a0=a0, a1=a1, a2=a2, nu=nu)
+
+    def integrands(t):
+        phi = act.evaluate(np.multiply.outer(scales, t))
+        return np.concatenate([hermite_table(degree, t)[:, None] * phi, [phi * phi]])
+
+    values = gaussian_expectation(integrands, quadrature_order)
+    return values[:-1].T, values[-1]
 
 
-def normalize_activation(act: ActivationSpec, quadrature_order=60) -> ActivationSpec:
+def hermite_coeffs(act, quadrature_order=60) -> HermiteCoeffs:
+    """a0, a1, a2 and nu of an activation under the standard Gaussian measure."""
+    c, energy = scaled_coeffs(act, [1.0], 2, quadrature_order)
+    return HermiteCoeffs(*c[0].tolist(), nu=float(energy[0]))
+
+
+def normalize_activation(act, quadrature_order=60):
     """Center and scale: t -> (phi(t) - a0)/sqrt(nu - a0^2), so a0 = 0 and nu = 1."""
     c = hermite_coeffs(act, quadrature_order)
     var = c.nu - c.a0**2
@@ -123,11 +120,9 @@ def normalize_activation(act: ActivationSpec, quadrature_order=60) -> Activation
         )
     shift, scale = c.a0, np.sqrt(var)
     phi, dphi = act.evaluate, act.derivative
-    return ActivationSpec(
-        name=f"{act.name}-normalized",
-        evaluate=lambda t: (phi(t) - shift) / scale,
-        derivative=lambda t: dphi(t) / scale,
-    )
+    return replace(act, name=f"{act.name}-normalized",
+                   evaluate=lambda t: (phi(t) - shift) / scale,
+                   derivative=lambda t: dphi(t) / scale)
 
 
 def linear_equivalent_kernel(X, coeffs: HermiteCoeffs):
@@ -207,6 +202,27 @@ def gauss_pair_kernel(coeffs: HermiteCoeffs, corr):
     if out.ndim == 2 and out.shape[0] == out.shape[1]:
         np.fill_diagonal(out, coeffs.nu)
     return out
+
+
+def mehler_kernel(act, rho, norms_a, norms_b, diagonal=False):
+    """``(K, bound)``: Mehler's series sum_{k <= K} c_k(a_i) c_k(b_j) rho_ij^k of
+    E[phi(a_i u) phi(b_j v)], (u, v) standard Gaussians with correlation rho_ij,
+    and the Cauchy-Schwarz bound |rho|^(K+1) sqrt(t(a) t(b) / (E(a) E(b))) on its
+    tail, with E(a) = E[phi(a xi)^2] and t(a) = E(a) - sum_k c_k(a)^2.
+    ``diagonal``: entry (i, i) is a column against itself, so K_ii = E(a_i)."""
+    scales, index = np.unique(np.concatenate([norms_a, norms_b]), return_inverse=True)
+    c, energy = scaled_coeffs(act, scales, MEHLER_DEGREE)
+    ia, ib = index[:len(norms_a)], index[len(norms_a):]
+    K = np.outer(c[ia, -1], c[ib, -1])
+    for k in range(MEHLER_DEGREE - 1, -1, -1):
+        K *= rho
+        K += np.outer(c[ia, k], c[ib, k])
+    tail = np.sqrt(np.clip(1.0 - np.sum(c * c, axis=1) / energy, 0.0, None))
+    bound = np.abs(rho) ** (MEHLER_DEGREE + 1) * np.outer(tail[ia], tail[ib])
+    if diagonal:
+        np.fill_diagonal(K, energy[ia])
+        np.fill_diagonal(bound, 0.0)
+    return K, bound
 
 
 def write_coeff_table(path, named_coeffs):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from . import hermite_kernels as hk
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -20,6 +21,8 @@ from .randgen import as_array
 from .ridge import solve_ridge
 
 MAX_FP_ITERATIONS = 200_000
+#: largest relative tail bound of ``hk.mehler_kernel`` that kernel_expectation accepts
+MEHLER_TAIL_TOL = 1e-6
 
 
 @dataclass
@@ -100,18 +103,15 @@ def rf_empirical_mse(beta, features, y):
     return float(resid @ resid / y.size)
 
 
-def kernel_method(act: ActivationSpec):
-    """'analytic' where ``kernel_expectation`` has a closed form, else 'monte-carlo'."""
-    return "analytic" if act.name in ("relu", "identity") else "monte-carlo"
-
-
 def kernel_expectation(X, X2, act: ActivationSpec, method="analytic",
                        m=100_000, seed=0):
     """Expected kernel block E_w[phi(X^T w) phi(w^T X2)] over w ~ N(0, I_p).
 
-    method='analytic' has closed forms for the identity (X^T X2) and ReLU
-    (degree-1 arc-cosine kernel); method='monte-carlo' averages m fresh
-    Gaussian draws and is the generic (and oracle-checkable) route.
+    method='analytic' is exact: closed forms for the identity (X^T X2), ReLU
+    (degree-1 arc-cosine kernel) and sign ((2/pi) arcsin rho), else
+    ``hk.mehler_kernel`` at rho = cos(x, x'), which raises DomainError where
+    its tail bound exceeds MEHLER_TAIL_TOL. method='monte-carlo' averages m
+    fresh Gaussian draws and is the oracle of the tests.
     """
     A, B = as_array(X), as_array(X2)
     if A.shape[0] != B.shape[0]:
@@ -119,41 +119,36 @@ def kernel_expectation(X, X2, act: ActivationSpec, method="analytic",
     if method == "analytic":
         if act.name == "identity":
             return A.T @ B
+        norms_a, norms_b = np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0)
         if act.name == "relu":
-            return _kernels.relu_pair_kernel(
-                A.T @ B, np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0)
-            )
-        raise NotImplementedError(
-            f"no analytic kernel for {act.name!r}; use method='monte-carlo'"
-        )
+            return _kernels.relu_pair_kernel(A.T @ B, norms_a, norms_b)
+        rho = np.clip(A.T @ B / np.outer(norms_a, norms_b), -1.0, 1.0)
+        if act.name == "sign":
+            return (2.0 / np.pi) * np.arcsin(rho)
+        K, bound = hk.mehler_kernel(act, rho, norms_a, norms_b, diagonal=X2 is X)
+        if bound.max() > MEHLER_TAIL_TOL:
+            raise DomainError(f"{act.name!r} kernel: Mehler series tail bound "
+                              f"{bound.max():.2e} > {MEHLER_TAIL_TOL:g} of the kernel "
+                              "scale; columns too near parallel at these norms")
+        return K
     if method == "monte-carlo":
         if m < 1:
             raise ValueError("monte-carlo sample count m must be >= 1")
         rng = np.random.default_rng(seed)
-        # chunk the w draws so memory stays bounded for large m
         out = np.zeros((A.shape[1], B.shape[1]))
-        done = 0
-        while done < m:
-            take = min(m - done, 20_000)
-            W = rng.standard_normal((take, A.shape[0]))
+        for done in range(0, m, 20_000):  # chunked: memory stays bounded for large m
+            W = rng.standard_normal((min(m - done, 20_000), A.shape[0]))
             out += act.evaluate(W @ A).T @ act.evaluate(W @ B)
-            done += take
         return out / m
     raise ValueError(f"unknown method {method!r}")
 
 
-def kernel_triplet(X, X_test, act: ActivationSpec, method="analytic",
-                   m=100_000, seed=0) -> KernelTriplet:
-    """All three kernel blocks with a shared Monte Carlo weight sample.
-
-    Using one weight sample for the three blocks keeps their estimation errors
-    consistent, which matters for the trace terms of the test-MSE formula.
-    """
-    kw = dict(method=method, m=m, seed=seed)
+def kernel_triplet(X, X_test, act: ActivationSpec) -> KernelTriplet:
+    """Train, cross and test blocks of the exact expected kernel."""
     return KernelTriplet(
-        k_train=kernel_expectation(X, X, act, **kw),
-        k_cross=kernel_expectation(X, X_test, act, **kw),
-        k_test=kernel_expectation(X_test, X_test, act, **kw),
+        k_train=kernel_expectation(X, X, act),
+        k_cross=kernel_expectation(X, X_test, act),
+        k_test=kernel_expectation(X_test, X_test, act),
     )
 
 

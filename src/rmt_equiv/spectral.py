@@ -231,16 +231,17 @@ def enclosing_contour(eigenvalues, indices=None, margin=0.1, nodes=512) -> Conto
 def ks_distance(samples, cdf):
     """Kolmogorov-Smirnov distance between a sample and a reference CDF callable.
 
-    Handles ties in the sample and atoms in the reference law: at each unique
-    sample value the empirical CDF is compared with the law both at the value
-    and just below it.
+    ``cdf`` must accept an array and return the CDF at each entry (``mp_cdf``
+    does). Handles ties in the sample and atoms in the reference law: at each
+    unique sample value the empirical CDF is compared with the law both at the
+    value and just below it.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
     uniq, counts = np.unique(x, return_counts=True)
     cum = np.cumsum(counts) / n
     below = cum - counts / n
-    F = np.asarray([cdf(v) for v in uniq], dtype=float)
+    F = np.asarray(cdf(uniq), dtype=float)
     eps = 1e-9 * np.maximum(1.0, np.abs(uniq))
-    F_minus = np.asarray([cdf(v) for v in uniq - eps], dtype=float)
+    F_minus = np.asarray(cdf(uniq - eps), dtype=float)
     return float(max(np.abs(cum - F).max(), np.abs(below - F_minus).max()))

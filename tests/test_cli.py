@@ -123,9 +123,8 @@ TOY = {
     "mp": {"p": 16, "c_list": [0.5, 2.0], "bins": 8},
     "tanh-demo": {"n": 20, "draws": 40, "bins": 8},
     "ridge-sweep": {"ratios": [0.5, 2.0], "gammas": [0.1], "trials": 2, "p": 8},
-    "rf-sweep": {"n": 16, "p": 6, "n_test": 8, "d_over_n": [0.5, 2.0], "trials": 2,
-                 "mc_samples": 50},
-    "kernel-lin": {"sizes": [8], "mc_samples": 50},
+    "rf-sweep": {"n": 16, "p": 6, "n_test": 8, "d_over_n": [0.5, 2.0], "trials": 2},
+    "kernel-lin": {"sizes": [8]},
     "ck-depth": {"layers": 3, "n": 12, "p": 12, "width": 32},
     "dynamics": {"d": 6, "n": 12, "times": [0.0, 1.0], "nodes": 32},
 }
@@ -140,6 +139,11 @@ VALUES = st.one_of(
 
 
 class TestRunExperiments:
+    @pytest.mark.parametrize("experiment", list(TOY))
+    def test_toy_configs_run(self, tmp_path, experiment):
+        path = write_config(tmp_path, config_text({"seed": 1, **TOY[experiment]}))
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
+
     @pytest.mark.parametrize("experiment", list(TOY))
     @settings(derandomize=True, database=None, deadline=None)
     @given(data=st.data())
@@ -180,6 +184,7 @@ class TestRunExperiments:
         ("ck-depth", "p = 1.5", "p"),
         ("dynamics", "nodes = 0", "nodes"),
         ("rf-sweep", "n_test = 0", "n_test"),
+        # a removed key: old configs name it and exit 2
         ("kernel-lin", "activation = tanh\nmc_samples = 0", "mc_samples"),
         # a count key that the experiment does not define is an unknown key
         ("tanh-demo", "p = 64", "p"),
@@ -296,6 +301,16 @@ class TestRunExperiments:
         assert (tmp_path / "activation_coeffs.csv").exists()
         text = (tmp_path / "kernel_lin.csv").read_text()
         assert "linearization_gap" in text
+
+    def test_kernel_lin_tanh_gaps_decrease(self, tmp_path):
+        path = write_config(tmp_path,
+                            "seed = 5\nsizes = 32, 64, 128\nactivation = tanh\n")
+        assert cli.main(["kernel-lin", "--config", path,
+                         "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "kernel_lin.csv").read_text().splitlines()[1:]
+        gaps = [float(row.split(",")[3]) for row in rows]
+        assert len(gaps) == 3
+        assert gaps[0] > gaps[1] > gaps[2]
 
     def test_ck_depth_small(self, tmp_path):
         path = write_config(tmp_path,

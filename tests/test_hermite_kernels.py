@@ -1,5 +1,7 @@
 """Hermite polynomials/coefficients, linear-equivalent kernels, CK and NTK recursions."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,20 @@ from rmt_equiv.errors import DegenerateActivationError, DomainError
 from rmt_equiv.randgen import sphere_dataset
 
 SQRT2PI = np.sqrt(2 * np.pi)
+
+# monomial coefficients (constant term first) of the unnormalized probabilists'
+# Hermite polynomials He_0 .. He_8, the oracle of the three-term recurrence
+HERMITE_MONOMIALS = [
+    [1],
+    [0, 1],
+    [-1, 0, 1],
+    [0, -3, 0, 1],
+    [3, 0, -6, 0, 1],
+    [0, 15, 0, -10, 0, 1],
+    [-15, 0, 45, 0, -15, 0, 1],
+    [0, -105, 0, 105, 0, -21, 0, 1],
+    [105, 0, -420, 0, 210, 0, -28, 0, 1],
+]
 
 # half-Gaussian analytic oracle for ReLU: E[relu] = 1/sqrt(2 pi),
 # E[xi relu] = 1/2, E[xi^2 relu] = sqrt(2/pi), E[relu^2] = 1/2
@@ -46,9 +62,18 @@ class TestHermitePoly:
                 lambda t, i=i: hk.hermite_poly(i, t) ** 2, 60)
             assert val == pytest.approx(1.0, abs=1e-9)
 
-    def test_unsupported_degree(self):
+    def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
-            hk.hermite_poly(9, 0.0)
+            hk.hermite_poly(-1, 0.0)
+
+    def test_recurrence_matches_monomial_table(self):
+        t = np.array([-7.5, -2.0, -0.3, 0.0, 0.8, 1.7, 4.0, 11.0])
+        table = hk.hermite_table(8, t)
+        for i, coeffs in enumerate(HERMITE_MONOMIALS):
+            want = np.polynomial.polynomial.polyval(t, coeffs) / np.sqrt(
+                math.factorial(i))
+            assert np.allclose(table[i], want, rtol=1e-12, atol=1e-12)
+            assert np.array_equal(hk.hermite_poly(i, t), table[i])
 
 
 class TestHermiteCoeffs:
@@ -105,6 +130,15 @@ class TestHermiteCoeffs:
     def test_low_order_rejected(self):
         with pytest.raises(ValueError):
             hk.hermite_coeffs(rf_nn.get_activation("tanh"), 10)
+
+    def test_stacked_integrands(self):
+        stacked = hk.gaussian_expectation(lambda t: np.stack([t * t, np.cosh(t)]), 60)
+        assert stacked.shape == (2,)
+        assert stacked[0] == hk.gaussian_expectation(lambda t: t * t, 60)
+        assert stacked[1] == hk.gaussian_expectation(np.cosh, 60)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError):
+                hk.gaussian_expectation(lambda t: np.stack([t * t, np.exp(t * t)]), 60)
 
     def test_super_exponential_rejected(self):
         blowup = rf_nn.ActivationSpec("exp-sq", lambda t: np.exp(t * t),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rmt_equiv import hermite_kernels as hk
 from rmt_equiv import rf_nn
 from rmt_equiv.errors import DomainError
 from rmt_equiv.randgen import sphere_dataset
@@ -138,10 +139,45 @@ class TestKernelExpectation:
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
 
-    def test_unsupported_analytic(self):
-        X = sphere_dataset(4, 3, 5)
-        with pytest.raises(NotImplementedError):
-            rf_nn.kernel_expectation(X, X, rf_nn.get_activation("tanh"), "analytic")
+    @pytest.mark.parametrize("name", ["tanh", "sign"])
+    def test_monte_carlo_vs_analytic(self, name):
+        X = sphere_dataset(8, 4, 2)
+        act = rf_nn.get_activation(name)
+        for X2 in (X, sphere_dataset(8, 3, 6)):  # a diagonal block and a cross block
+            exact = rf_nn.kernel_expectation(X, X2, act, "analytic")
+            mc = rf_nn.kernel_expectation(X, X2, act, "monte-carlo", m=10**6, seed=3)
+            assert np.abs(mc - exact).max() <= 5e-3
+
+    def test_series_matches_relu_closed_form(self):
+        # ReLU under another name takes the Mehler series route
+        relu = rf_nn.get_activation("relu")
+        series = rf_nn.ActivationSpec("relu-series", relu.evaluate, relu.derivative)
+        X = sphere_dataset(256, 256, 11)
+        exact = rf_nn.kernel_expectation(X, X, relu)
+        assert np.abs(rf_nn.kernel_expectation(X, X, series) - exact).max() <= 1e-12
+
+    def test_series_error_within_tail_bound(self):
+        # at p = 8 some pairs are nearly parallel, so the truncation shows
+        relu = rf_nn.get_activation("relu")
+        series = rf_nn.ActivationSpec("relu-series", relu.evaluate, relu.derivative)
+        A = sphere_dataset(8, 32, 12).entries * np.linspace(0.5, 2.0, 32)
+        norms = np.linalg.norm(A, axis=0)
+        rho = np.clip(A.T @ A / np.outer(norms, norms), -1.0, 1.0)
+        K, bound = hk.mehler_kernel(series, rho, norms, norms)
+        exact = rf_nn.kernel_expectation(A, A, relu)
+        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))  # E[relu(a xi)^2]
+        off = ~np.eye(32, dtype=bool)
+        err = np.abs(K - exact)[off]
+        assert err.max() > 1e-9
+        assert np.all(err <= (bound * scale)[off] + 1e-13)
+        with pytest.raises(DomainError):
+            rf_nn.kernel_expectation(A, A, series)
+
+    def test_kinked_activation_near_parallel_columns_raises(self):
+        X = sphere_dataset(3, 12, 5)
+        act = rf_nn.ActivationSpec("abs", np.abs, np.sign)
+        with pytest.raises(DomainError, match="abs"):
+            rf_nn.kernel_expectation(X, X, act)
 
 
 class TestNonlinearDeDelta:
