@@ -273,6 +273,11 @@ def _rf_data(params):
             raise DatasetError(
                 f"dataset holds {X_all.n} filtered samples; need n+n_test={n + n_test}"
             )
+        # the kernels divide by sample norms (unit-sphere data is checked on ingest)
+        zero = np.flatnonzero(~X_all.entries[:, :n + n_test].any(axis=0))
+        if zero.size:
+            raise DatasetError(f"dataset {params['dataset']}: filtered sample "
+                               f"{zero[0]} (0-based) is all zeros")
         Xtr = DataMatrix(X_all.entries[:, :n], dict(X_all.meta))
         Xte = DataMatrix(X_all.entries[:, n:n + n_test], dict(X_all.meta))
         return Xtr, y_all[:n], Xte, y_all[n:n + n_test]

@@ -14,7 +14,6 @@ iteration; for C = I it reduces to delta = (p/n) m(z).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import _kernels
 from .errors import ConvergenceError, DomainError, SingularityError
@@ -105,6 +104,11 @@ def mp_density(c, x):
     return out if out.ndim else float(out)
 
 
+def _cumulative_trapezoid(y, x):
+    """Running composite-trapezoid integral of y(x) on the grid x, from 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def mp_cdf(c, grid_points=4001):
     """CDF of the MP law (bulk by quadrature plus the c>1 atom at zero).
 
@@ -116,7 +120,7 @@ def mp_cdf(c, grid_points=4001):
     dens = np.zeros_like(xs)
     inner = xs[(xs > 0)]
     dens[(xs > 0)] = mp_density(c, np.maximum(inner, 1e-300))
-    bulk = integrate.cumulative_trapezoid(dens, xs, initial=0.0)
+    bulk = _cumulative_trapezoid(dens, xs)
     bulk *= (1.0 - params.atom) / bulk[-1]  # exact unit total mass with atom
 
     def cdf(x):

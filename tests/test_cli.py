@@ -2,8 +2,11 @@
 
 import io
 import math
+import os
 import re
 import string
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -16,7 +19,8 @@ from hypothesis import strategies as st
 from rmt_equiv import cli, randgen, rf_nn
 from rmt_equiv import hermite_kernels as hk
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 
 def write_config(tmp_path, text, name="cfg.txt"):
@@ -32,12 +36,17 @@ def config_text(params):
         for key, val in params.items())
 
 
-def write_dataset(tmp_path, rows, seed=0, name="toy.csv", header=None):
-    """Label-first two-class CSV with six features per row."""
+def write_dataset(tmp_path, rows, seed=0, name="toy.csv", header=None, zero_row=None):
+    """Label-first two-class CSV with six features per row.
+
+    The features of row ``zero_row`` (0-based), if given, are all zero.
+    """
     rng = np.random.default_rng(seed)
+    feats = rng.standard_normal((rows, 6))
+    if zero_row is not None:
+        feats[zero_row] = 0.0
     lines = [header] if header else []
-    lines += [f"{1 if i % 2 == 0 else 2},"
-              + ",".join(f"{v:.6f}" for v in rng.standard_normal(6))
+    lines += [f"{1 if i % 2 == 0 else 2}," + ",".join(f"{v:.6f}" for v in feats[i])
               for i in range(rows)]
     return write_config(tmp_path, "\n".join(lines) + "\n", name=name)
 
@@ -161,6 +170,21 @@ class TestRunExperiments:
         assert rc in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
 
+    def test_library_imports_numpy_only(self, tmp_path):
+        """A fresh interpreter runs a toy ``mp`` (so ``mp_cdf`` runs) without scipy."""
+        path = write_config(tmp_path, config_text({"seed": 1, **TOY["mp"]}))
+        code = (
+            "import sys\n"
+            "from rmt_equiv import cli\n"
+            f"assert cli.run(cli.parse_config({path!r}, 'mp'), {str(tmp_path)!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        env = {key: val for key, val in os.environ.items() if key != "RMT_EQUIV_SEED"}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
+
     def test_mp_small(self, tmp_path):
         path = write_config(tmp_path, "seed = 0\np = 128\nc_list = 0.5\nbins = 24\n")
         rc = cli.main(["mp", "--config", path, "--out", str(tmp_path)])
@@ -179,6 +203,9 @@ class TestRunExperiments:
         ("rf-sweep", "p = 1", "p"),
         pytest.param("rf-sweep", "n = 16\nn_test = 16\np = 6\ndataset = {data}",
                      "dataset", id="rf-sweep-short-dataset"),
+        pytest.param("rf-sweep",
+                     "n = 16\nn_test = 16\np = 6\nnormalization = none\ndataset = {zeros}",
+                     "dataset", id="rf-sweep-zero-sample"),
         ("kernel-lin", "sizes = 0", "sizes"),
         ("ck-depth", "p = 1", "p"),
         ("ck-depth", "p = 1.5", "p"),
@@ -216,7 +243,9 @@ class TestRunExperiments:
         ("rf-sweep", "sigma2 = -1", "sigma2"),
     ])
     def test_bad_input_exit_2_names_key(self, tmp_path, capsys, experiment, text, key):
-        text = text.format(data=write_dataset(tmp_path, 30))  # 30 rows < n + n_test
+        text = text.format(data=write_dataset(tmp_path, 30),  # 30 rows < n + n_test
+                           zeros=write_dataset(tmp_path, 40, name="zeros.csv",
+                                               zero_row=3))
         path = write_config(tmp_path, f"seed = 1\n{text}\n")
         assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -102,6 +102,24 @@ class TestMPDensity:
         assert np.all(np.diff(vals) >= -1e-15)
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 2.0])
+    def test_cdf_equals_scipy_trapezoid(self, c):
+        # oracle: mp_cdf's bulk built on its own grid with scipy's cumulative_trapezoid
+        params = det_equiv.MPParams.from_ratio(c)
+        xs = np.linspace(*params.edges, 4001)
+        dens = np.zeros_like(xs)
+        dens[xs > 0] = det_equiv.mp_density(c, xs[xs > 0])
+        bulk = integrate.cumulative_trapezoid(dens, xs, initial=0.0)
+        assert np.array_equal(det_equiv._cumulative_trapezoid(dens, xs), bulk)
+        bulk *= (1.0 - params.atom) / bulk[-1]
+        assert np.array_equal(det_equiv.mp_cdf(c)(xs), bulk + params.atom)
+
+    def test_trapezoid_equals_scipy_on_nonuniform_grid(self):
+        x = np.cumsum(np.random.default_rng(3).exponential(size=257))
+        y = np.sin(x) / x
+        assert np.array_equal(det_equiv._cumulative_trapezoid(y, x),
+                              integrate.cumulative_trapezoid(y, x, initial=0.0))
+
 
 class TestSolveDeltaSCM:
     def test_identity_matches_mp(self):
