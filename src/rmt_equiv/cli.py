@@ -10,7 +10,7 @@ lists are comma-separated). The seed is mandatory and may be overridden by the
 with 9 significant digits; identical configs produce byte-identical CSVs.
 
 Exit status: 0 success, 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
-non-finite number is a bad config), 3 numerical failure.
+non-finite number is a bad config), 3 numerical failure or failed allocation.
 """
 
 import argparse
@@ -33,7 +33,7 @@ from .results import ResultRow, write_csv, write_rows
 from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
     sweep_double_descent
 from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, measure_to_rows, \
-    symmetric_norm
+    rank_tolerance, symmetric_norm
 
 
 @dataclass
@@ -179,7 +179,7 @@ def _run_mp(params, out):
         lam = np.linalg.eigvalsh(X.entries @ X.entries.T / n)
         # rank deficiency at c > 1 produces exact zeros up to rounding; clamp
         # them so they sit on the law's atom
-        lam[np.abs(lam) <= lam.max() * p * np.finfo(float).eps] = 0.0
+        lam[np.abs(lam) <= rank_tolerance(lam, p)] = 0.0
         mp = MPParams.from_ratio(p / n)
         hi = mp.edges[1] * 1.05
         hist = esd_histogram(lam, params["bins"], (0.0, hi))
@@ -267,7 +267,7 @@ def _rf_data(params):
                                           set(params["labels"]),
                                           params["normalization"],
                                           header=params.get("_header", False))
-        except (OSError, ValueError) as exc:  # unreadable file or unusable entries
+        except (DatasetError, OSError, ValueError) as exc:  # unreadable or unusable
             raise DatasetError(f"dataset {params['dataset']}: {exc}") from None
         if X_all.n < n + n_test:
             raise DatasetError(
@@ -488,8 +488,9 @@ def run(config: ExperimentConfig, out_dir=".", threads=1):
     except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SingularityError, NearPhaseTransitionError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    # ArithmeticError covers SingularityError and NearPhaseTransitionError,
+    # ValueError covers np.linalg.LinAlgError; MemoryError is a failed allocation
+    except (ArithmeticError, ConvergenceError, MemoryError, ValueError) as exc:
         print(f"numerical failure in {config.experiment}: {exc}", file=sys.stderr)
         return 3
     print(f"{config.experiment}: seed={params['seed']} "

@@ -19,6 +19,8 @@ from . import _kernels
 from .errors import ConvergenceError, DomainError, SingularityError
 
 MAX_FP_ITERATIONS = 10_000
+#: trapezoid nodes across the MP bulk in ``mp_cdf``
+MP_CDF_GRID = 4001
 
 
 @dataclass
@@ -109,14 +111,15 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def mp_cdf(c, grid_points=4001):
-    """CDF of the MP law (bulk by quadrature plus the c>1 atom at zero).
+def mp_cdf(c):
+    """CDF of the MP law (bulk by quadrature on ``MP_CDF_GRID`` points plus the
+    c>1 atom at zero).
 
     Returns a vectorized callable suitable for KS tests.
     """
     params = MPParams.from_ratio(c)
     lo, hi = params.edges
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, MP_CDF_GRID)
     dens = np.zeros_like(xs)
     inner = xs[(xs > 0)]
     dens[(xs > 0)] = mp_density(c, np.maximum(inner, 1e-300))

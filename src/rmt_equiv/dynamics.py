@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import RankDeficiencyError
 from .results import write_csv
-from .spectral import ContourSpec, check_contour, circle_nodes, resolvent_forms
+from .spectral import CONTOUR_MARGIN, ContourSpec, check_contour, circle_nodes, \
+    rank_tolerance, resolvent_forms
 
 #: exp(-eta t lambda_min) below e^-50 is saturated numerically
 TIME_SATURATION = 50.0
@@ -42,8 +43,7 @@ class TrajectorySample:
 def _flow_spectrum(features, n):
     S = features @ features.T / n
     lam, U = np.linalg.eigh(S)
-    tol = lam.max() * S.shape[0] * np.finfo(float).eps if lam.size else 0.0
-    if lam.min() <= tol:
+    if lam.min() <= rank_tolerance(lam, S.shape[0]):
         raise RankDeficiencyError(
             "Phi Phi^T / n is singular; gradient_flow_beta needs full row rank "
             "(d <= n with generic features)"
@@ -93,10 +93,11 @@ def ntk_trajectory(k_ntk, y, yhat0, eta, times):
     return out
 
 
-def default_flow_contour(lam_max, nodes=512, margin=0.1) -> ContourSpec:
-    """Circle enclosing [0, lam_max] with a relative margin of the spread."""
+def default_flow_contour(lam_max, nodes=512) -> ContourSpec:
+    """Circle enclosing [0, lam_max] with a ``CONTOUR_MARGIN`` relative margin
+    of the spread."""
     half = 0.5 * lam_max
-    return ContourSpec(complex(half), half + margin * lam_max, nodes)
+    return ContourSpec(complex(half), half + CONTOUR_MARGIN * lam_max, nodes)
 
 
 def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec):
@@ -113,7 +114,7 @@ def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec)
     n = y.size
     S = Phi @ Phi.T / n
     lam = np.linalg.eigvalsh(S)
-    if lam.min() <= lam.max() * S.shape[0] * np.finfo(float).eps:
+    if lam.min() <= rank_tolerance(lam, S.shape[0]):
         raise RankDeficiencyError("contour projection needs a full-rank flow matrix")
     inside = check_contour(lam, contour)
     if not inside.all():

@@ -110,9 +110,9 @@ def hermite_coeffs(act, quadrature_order=60) -> HermiteCoeffs:
     return HermiteCoeffs(*c[0].tolist(), nu=float(energy[0]))
 
 
-def normalize_activation(act, quadrature_order=60):
+def normalize_activation(act):
     """Center and scale: t -> (phi(t) - a0)/sqrt(nu - a0^2), so a0 = 0 and nu = 1."""
-    c = hermite_coeffs(act, quadrature_order)
+    c = hermite_coeffs(act)
     var = c.nu - c.a0**2
     if var <= 1e-12:
         raise DegenerateActivationError(
@@ -138,7 +138,7 @@ def linear_equivalent_kernel(X, coeffs: HermiteCoeffs):
     return K
 
 
-def ck_alphas(activations, quadrature_order=60) -> CKLayerParams:
+def ck_alphas(activations) -> CKLayerParams:
     """CK linearization parameters across layers.
 
     alpha_{l,1} = a_{l;1} alpha_{l-1,1},
@@ -148,7 +148,7 @@ def ck_alphas(activations, quadrature_order=60) -> CKLayerParams:
     """
     alphas = [(1.0, 0.0)]
     for layer, act in enumerate(activations, start=1):
-        c = hermite_coeffs(act, quadrature_order)
+        c = hermite_coeffs(act)
         if abs(c.a0) > 1e-8 or abs(c.nu - 1.0) > 1e-8:
             raise ValueError(
                 f"layer {layer} activation {act.name!r} is not normalized "

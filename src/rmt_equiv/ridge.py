@@ -2,8 +2,7 @@
 
 Risk conventions (isotropic data, ground truth beta_*, noise variance sigma^2):
 
-  in-sample   R_in  = (1/n) ||X^T beta - X^T beta_*||^2  (+ analytically
-              averaged noise-fit term in the conditional mode),
+  in-sample   R_in  = (1/n) ||X^T beta - X^T beta_*||^2,
   out-sample  R_out = E[(beta^T x' - beta_*^T x')^2 | X] = ||beta - beta_*||^2.
 
 Closed forms in the proportional regime use the MP transform m(-gamma) and its
@@ -23,9 +22,9 @@ import numpy as np
 
 from .det_equiv import mp_stieltjes, mp_stieltjes_derivative
 from .errors import ConvergenceError, SingularityError
-from .randgen import DataMatrix, GroundTruth, as_array, gaussian_matrix, \
-    linear_targets
+from .randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets
 from .results import ResultRow
+from .spectral import rank_tolerance
 
 #: |c - 1| below this flags a sweep point as sitting on the interpolation peak
 PEAK_RATIO_BAND = 0.02
@@ -65,7 +64,7 @@ def min_norm_solve(A, y):
     """
     p, n = A.shape
     lam, U = np.linalg.eigh(A @ A.T if p <= n else A.T @ A)
-    keep = lam > lam[-1] * max(p, n) * np.finfo(float).eps
+    keep = lam > rank_tolerance(lam, max(p, n))
     U, lam = U[:, keep], lam[keep]
     if p <= n:
         return U @ ((U.T @ (A @ y)) / lam)
@@ -83,56 +82,14 @@ def ridge_fit(X: DataMatrix, y, gamma) -> RidgeSolution:
     return RidgeSolution(beta, float(gamma), via)
 
 
-def empirical_risks(solution: RidgeSolution, truth: GroundTruth, X: DataMatrix,
-                    test=None, in_sample_mode="realized") -> RiskPair:
-    """Empirical risk pair for a fitted ridge solution.
-
-    in_sample_mode='realized' evaluates (1/n)||X^T(beta - beta_*)||^2 on the
-    drawn data; 'conditional' averages the noise analytically,
-    (1/n)||X^T(I - Q Chat) beta_*||^2 + (sigma^2/n) tr(Q Chat Q Chat), which
-    removes the noise-realization variance from trial averages.
-
-    r_out defaults to the exact conditional form ||beta - beta_*||^2 for
-    isotropic data; passing ``test=(X', y')`` switches to the test-set
-    estimate (1/n')||X'^T (beta - beta_*)||^2.
-    """
-    beta = solution.beta
-    bstar = truth.beta_star
-    if beta.shape != bstar.shape:
+def empirical_risks(solution: RidgeSolution, truth: GroundTruth, X: DataMatrix) -> RiskPair:
+    """Realized risk pair of a fitted ridge solution on its drawn data:
+    r_in = (1/n)||X^T(beta - beta_*)||^2 and r_out = ||beta - beta_*||^2."""
+    if solution.beta.shape != truth.beta_star.shape:
         raise ValueError("solution and truth dimensions disagree")
-    A = X.entries
-    n = X.n
-
-    if in_sample_mode == "realized":
-        resid = A.T @ (beta - bstar)
-        r_in = float(resid @ resid) / n
-    elif in_sample_mode == "conditional":
-        lam, U = np.linalg.eigh(A @ A.T / n)
-        lam = np.clip(lam, 0.0, None)
-        g = solution.gamma
-        if g > 0:
-            q_chat = lam / (lam + g)  # eigenvalues of Q Chat
-            Qb = U @ ((U.T @ bstar) / (lam + g))
-            bias_vec = A.T @ (g * Qb)
-            bias = float(bias_vec @ bias_vec) / n
-        else:
-            # ridgeless: Q Chat -> projection on the column space of X
-            tolr = lam.max() * max(A.shape) * np.finfo(float).eps if lam.size else 0.0
-            q_chat = (lam > tolr).astype(float)
-            bias = 0.0  # X^T (I - proj) = 0 whenever rank = min(p, n)
-        r_in = bias + truth.sigma2 * float(np.sum(q_chat * q_chat)) / n
-    else:
-        raise ValueError(f"unknown in_sample_mode {in_sample_mode!r}")
-
-    diff = beta - bstar
-    if test is None:
-        r_out = float(diff @ diff)
-    else:
-        X_test, _ = test
-        B = as_array(X_test)
-        resid = B.T @ diff
-        r_out = float(resid @ resid) / B.shape[1]
-    return RiskPair(r_in=r_in, r_out=r_out)
+    diff = solution.beta - truth.beta_star
+    resid = X.entries.T @ diff
+    return RiskPair(r_in=float(resid @ resid) / X.n, r_out=float(diff @ diff))
 
 
 def risk_theory(gamma, c, beta_norm2, sigma2, regime="proportional") -> RiskPair:

@@ -21,6 +21,8 @@ from .errors import EmptyContourError, SingularityError
 CONTOUR_CLEARANCE = 1e-8
 #: fewest trapezoid nodes a contour may have
 MIN_CONTOUR_NODES = 16
+#: clearance of an enclosing circle beyond the enclosed spread, relative to it
+CONTOUR_MARGIN = 0.1
 
 
 @dataclass
@@ -70,6 +72,12 @@ def symmetric_norm(S):
 
     Reads only the lower triangle of ``S``."""
     return float(np.abs(np.linalg.eigvalsh(S)).max())
+
+
+def rank_tolerance(lam, size):
+    """lambda_max * size * eps: eigenvalues at or below it count as zero when
+    numerically ranking a symmetric matrix with spectrum ``lam``."""
+    return lam.max() * size * np.finfo(float).eps
 
 
 def esd_histogram(eigenvalues, bins, range_) -> EmpiricalMeasure:
@@ -214,17 +222,18 @@ def contour_functional(S, f, a, b, contour: ContourSpec):
     return float(total.real)
 
 
-def enclosing_contour(eigenvalues, indices=None, margin=0.1, nodes=512) -> ContourSpec:
+def enclosing_contour(eigenvalues, indices=None, nodes=512) -> ContourSpec:
     """Circle around the selected eigenvalues with a relative margin.
 
-    With ``indices=None`` the circle encloses the whole spectrum. The margin
-    is relative to the enclosed spread (or to 1 for a single point).
+    With ``indices=None`` the circle encloses the whole spectrum. The margin,
+    ``CONTOUR_MARGIN``, is relative to the enclosed spread (or to 1 for a
+    single point).
     """
     lam = np.sort(np.asarray(eigenvalues, dtype=float))
     sel = lam if indices is None else lam[np.asarray(list(indices), dtype=int)]
     center = 0.5 * (sel.min() + sel.max())
     spread = 0.5 * (sel.max() - sel.min())
-    radius = spread + margin * max(spread, 1.0)
+    radius = spread + CONTOUR_MARGIN * max(spread, 1.0)
     return ContourSpec(complex(center), radius, nodes)
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmt_equiv import cli, randgen, rf_nn
+from rmt_equiv import cli, randgen, rf_nn, ridge
 from rmt_equiv import hermite_kernels as hk
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +49,13 @@ def write_dataset(tmp_path, rows, seed=0, name="toy.csv", header=None, zero_row=
     lines += [f"{1 if i % 2 == 0 else 2}," + ",".join(f"{v:.6f}" for v in feats[i])
               for i in range(rows)]
     return write_config(tmp_path, "\n".join(lines) + "\n", name=name)
+
+
+def test_package_keeps_what_perfbench_reads():
+    # perfbench/worker.py records both in each benchmark run's environment
+    import rmt_equiv
+    assert isinstance(rmt_equiv.__version__, str) and rmt_equiv.__version__
+    assert rmt_equiv.HAS_NUMBA is False
 
 
 class TestParseValidate:
@@ -206,6 +213,10 @@ class TestRunExperiments:
         pytest.param("rf-sweep",
                      "n = 16\nn_test = 16\np = 6\nnormalization = none\ndataset = {zeros}",
                      "dataset", id="rf-sweep-zero-sample"),
+        pytest.param("rf-sweep", "dataset = {bad_row}", "dataset",
+                     id="rf-sweep-unparsable-row"),
+        pytest.param("rf-sweep", "dataset = {other_labels}", "dataset",
+                     id="rf-sweep-no-matching-label"),
         ("kernel-lin", "sizes = 0", "sizes"),
         ("ck-depth", "p = 1", "p"),
         ("ck-depth", "p = 1.5", "p"),
@@ -245,11 +256,36 @@ class TestRunExperiments:
     def test_bad_input_exit_2_names_key(self, tmp_path, capsys, experiment, text, key):
         text = text.format(data=write_dataset(tmp_path, 30),  # 30 rows < n + n_test
                            zeros=write_dataset(tmp_path, 40, name="zeros.csv",
-                                               zero_row=3))
+                                               zero_row=3),
+                           bad_row=write_config(tmp_path, "1,0.5,0.25\n2,x,0.5\n",
+                                                name="bad_row.csv"),
+                           other_labels=write_config(tmp_path, "3,0.5,0.25\n4,1,0.5\n",
+                                                     name="other_labels.csv"))
         path = write_config(tmp_path, f"seed = 1\n{text}\n")
         assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert re.search(rf"\b{key}\b", err), err
+        assert "Traceback" not in err
+
+    def test_complex_contour_projection_exit_3(self, tmp_path, capsys):
+        # the shipped dynamics sizes at t = 200: the contour quadrature loses
+        # the real part of the projection and raises a bare ArithmeticError
+        path = write_config(tmp_path, "seed = 13\nd = 24\nn = 48\nnodes = 512\n"
+                                      "times = 0, 200\n")
+        assert cli.main(["dynamics", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in dynamics: non-real contour projection" in err, err
+        assert "Traceback" not in err
+
+    def test_failed_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 3.81 TiB")
+
+        monkeypatch.setattr(ridge, "gaussian_matrix", no_memory)
+        path = write_config(tmp_path, "seed = 1\np = 8\nratios = 2\ntrials = 1\n")
+        assert cli.main(["ridge-sweep", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in ridge-sweep: Unable to allocate" in err, err
         assert "Traceback" not in err
 
     def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):

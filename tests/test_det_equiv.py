@@ -106,7 +106,7 @@ class TestMPDensity:
     def test_cdf_equals_scipy_trapezoid(self, c):
         # oracle: mp_cdf's bulk built on its own grid with scipy's cumulative_trapezoid
         params = det_equiv.MPParams.from_ratio(c)
-        xs = np.linspace(*params.edges, 4001)
+        xs = np.linspace(*params.edges, det_equiv.MP_CDF_GRID)
         dens = np.zeros_like(xs)
         dens[xs > 0] = det_equiv.mp_density(c, xs[xs > 0])
         bulk = integrate.cumulative_trapezoid(dens, xs, initial=0.0)
