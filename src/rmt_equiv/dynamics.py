@@ -24,13 +24,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import DomainError, RankDeficiencyError
 from .results import write_csv
 from .spectral import CONTOUR_MARGIN, ContourSpec, check_contour, circle_nodes, \
     rank_tolerance, resolvent_forms
 
 #: exp(-eta t lambda_min) below e^-50 is saturated numerically
 TIME_SATURATION = 50.0
+
+#: largest contour rounding bound, relative to the a priori size of the
+#: projection, that a contour projection may carry
+QUADRATURE_ROUNDING_TOL = 1e-9
 
 
 @dataclass
@@ -106,6 +110,12 @@ def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec)
     The contour must enclose the full spectrum with the standard clearance.
     Times beyond the numerical saturation point 50/(eta lambda_min) are capped
     (the trajectory is converged there to machine precision anyway).
+
+    exp(-eta t z) grows on the part of the circle left of the origin, so at
+    long times the quadrature sums large terms that must cancel. The sum's
+    rounding bound eps sum_k |g_k dz_k| / N is compared with the a priori size
+    ||v|| (||beta0|| + min(eta t, 1/lambda_min) ||Phi y / n||) of the
+    projection; past ``QUADRATURE_ROUNDING_TOL`` of it, DomainError is raised.
     """
     Phi = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -121,11 +131,6 @@ def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec)
         raise ValueError("contour must enclose all eigenvalues of Phi Phi^T / n")
 
     t_cap = TIME_SATURATION / (eta * lam.min())
-    # exp(-eta t z) grows on the part of the circle left of the origin; keep
-    # the exponent within float range as well
-    excess = max(contour.radius - contour.center.real, 0.0)
-    if excess > 0:
-        t_cap = min(t_cap, 500.0 / (eta * excess))
     if t > t_cap:
         warnings.warn(
             f"flow time {t:g} saturated to {t_cap:g} (matrix-exponential "
@@ -135,11 +140,22 @@ def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec)
         t = t_cap
 
     zs, dz_factors = circle_nodes(contour)
-    forms = resolvent_forms(S, v, np.stack([beta0, Phi @ y / n], axis=1), zs)
-    g = np.exp(-eta * t * zs) * forms[:, 0] - np.expm1(-eta * t * zs) / zs * forms[:, 1]
-    val = -np.sum(g * dz_factors) / contour.nodes
+    target = Phi @ y / n
+    forms = resolvent_forms(S, v, np.stack([beta0, target], axis=1), zs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.exp(-eta * t * zs) * forms[:, 0] - np.expm1(-eta * t * zs) / zs * forms[:, 1]
+        terms = g * dz_factors
+    val = -np.sum(terms) / contour.nodes
     if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
-        raise ArithmeticError(f"non-real contour projection (Im={val.imag:.2e})")
+        raise ArithmeticError(
+            f"non-real contour projection at t={t:g} (Im={val.imag:.2e})")
+    bound = np.finfo(float).eps * np.sum(np.abs(terms)) / contour.nodes
+    size = np.linalg.norm(v) * (np.linalg.norm(beta0)
+                                + min(eta * t, 1.0 / lam.min()) * np.linalg.norm(target))
+    if not bound <= QUADRATURE_ROUNDING_TOL * size:
+        raise DomainError(
+            f"contour projection at t={t:g} is not accurate: rounding bound "
+            f"{bound:.2e} exceeds {QUADRATURE_ROUNDING_TOL:g} of its size {size:.2e}")
     return float(val.real)
 
 

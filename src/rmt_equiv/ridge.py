@@ -50,20 +50,58 @@ def solve_ridge(A, y, gamma):
     is smaller. Returns (beta, 'primal' | 'dual').
     """
     p, n = A.shape
+    G = A @ A.T if p <= n else A.T @ A
+    G /= n
+    G.flat[::G.shape[0] + 1] += gamma
     if p <= n:
-        return np.linalg.solve(A @ A.T / n + gamma * np.eye(p), A @ y / n), "primal"
-    return A @ np.linalg.solve(A.T @ A / n + gamma * np.eye(n), y) / n, "dual"
+        return np.linalg.solve(G, A @ y / n), "primal"
+    return A @ np.linalg.solve(G, y) / n, "dual"
+
+
+def _certified_full_rank(G, size):
+    """True if Cholesky proves every eigenvalue of the symmetric Gram G (of
+    order m) lies above the cut-off lambda_max size eps of ``rank_tolerance``.
+
+    Cholesky is run on G - s I with
+
+        s = ||G||_inf size eps + m (m + 1) eps max(diag G).
+
+    The first term bounds the cut-off from above, as lambda_max <= ||G||_inf.
+    The second bounds Cholesky's backward error: the computed factor is exact
+    for G - s I + dM with |dM| <= gamma_{m+1} |L||L^T| (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 10.1), so ||dM||_2 <=
+    m (m + 1) eps max(diag G). If the factorization completes, G - s I + dM is
+    positive definite, so lambda_min(G) > s - ||dM||_2 is above the cut-off.
+    """
+    m = G.shape[0]
+    eps = np.finfo(float).eps
+    shifted = G.copy()
+    shifted.flat[::m + 1] -= (np.linalg.norm(G, np.inf) * size * eps
+                              + m * (m + 1) * eps * G.diagonal().max())
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def min_norm_solve(A, y):
     """Min-norm minimizer of ||A^T beta - y|| for a p x n matrix A, at any rank.
 
-    Uses the eigendecomposition of the smaller Gram matrix: (A A^T)^+ A y if
-    p <= n, else A (A^T A)^+ y. Eigenvalues at or below lambda_max max(p, n) eps
-    count as zero (numpy's pinv cut-off, applied to the Gram spectrum).
+    The answer is G^+ A y if p <= n, else A G^+ y, for the smaller Gram
+    matrix G (A A^T if p <= n, else A^T A), where eigenvalues at or below
+    lambda_max max(p, n) eps count as zero (numpy's pinv cut-off, applied to
+    the Gram spectrum). When ``_certified_full_rank`` proves that no
+    eigenvalue is cut, G^+ = G^{-1} is applied by one solve; otherwise the
+    eigendecomposition of G is truncated at the cut-off.
     """
     p, n = A.shape
-    lam, U = np.linalg.eigh(A @ A.T if p <= n else A.T @ A)
+    G = A @ A.T if p <= n else A.T @ A
+    if _certified_full_rank(G, max(p, n)):
+        if p <= n:
+            return np.linalg.solve(G, A @ y)
+        return A @ np.linalg.solve(G, y)
+    lam, U = np.linalg.eigh(G)
     keep = lam > rank_tolerance(lam, max(p, n))
     U, lam = U[:, keep], lam[keep]
     if p <= n:

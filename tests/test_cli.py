@@ -277,6 +277,18 @@ class TestRunExperiments:
         assert "numerical failure in dynamics: non-real contour projection" in err, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("t, bound", [("1000", r"\d\.\d\de\+\d+"), ("16000", "nan")])
+    def test_inaccurate_contour_projection_exit_3(self, tmp_path, capsys, t, bound):
+        # the shipped dynamics sizes: at t = 1000 the quadrature returns a real
+        # 2e+70, at t = 16000 exp(-eta t z) overflows on the contour
+        path = write_config(tmp_path, "seed = 13\nd = 24\nn = 48\nnodes = 512\n"
+                                      f"times = 0, {t}\n")
+        assert cli.main(["dynamics", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(f"numerical failure in dynamics: contour projection at t={t} "
+                         f"is not accurate: rounding bound {bound} exceeds", err), err
+        assert "Traceback" not in err
+
     def test_failed_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 3.81 TiB")

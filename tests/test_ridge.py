@@ -7,6 +7,20 @@ from rmt_equiv import ridge
 from rmt_equiv.errors import SingularityError
 from rmt_equiv.randgen import DataMatrix, GroundTruth, gaussian_matrix
 
+EPS = np.finfo(float).eps
+
+
+def eigh_min_norm(A, y):
+    """The min-norm fit by a truncated eigendecomposition of the smaller Gram,
+    with numpy's pinv cut-off lambda_max max(p, n) eps."""
+    p, n = A.shape
+    lam, U = np.linalg.eigh(A @ A.T if p <= n else A.T @ A)
+    keep = lam > lam.max() * max(p, n) * EPS
+    U, lam = U[:, keep], lam[keep]
+    if p <= n:
+        return U @ ((U.T @ (A @ y)) / lam)
+    return A @ (U @ ((U.T @ y) / lam))
+
 
 class TestRidgeFit:
     def test_huge_gamma_shrinks_to_zero(self):
@@ -36,8 +50,14 @@ class TestRidgeFit:
         sol = ridge.ridge_fit(DataMatrix(A), y, gamma)
         assert np.abs(sol.beta - primal).max() <= 1e-10
 
-    @pytest.mark.parametrize("p, n", [(32, 64), (32, 16)])
-    def test_ridgeless_matches_lstsq(self, p, n):
+    @pytest.mark.parametrize("p, n", [(32, 64), (32, 16), (32, 32)])
+    def test_ridgeless_matches_lstsq(self, monkeypatch, p, n):
+        # a Gaussian design has a full-rank Gram, so the certified solve runs
+        # and the eigendecomposition is never reached
+        def no_eigh(*args):
+            raise AssertionError("eigh called on a full-rank Gram")
+
+        monkeypatch.setattr(ridge.np.linalg, "eigh", no_eigh)
         rng = np.random.default_rng(4)
         A = rng.standard_normal((p, n))
         y = rng.standard_normal(n)
@@ -59,6 +79,44 @@ class TestRidgeFit:
         sol = ridge.ridge_fit(DataMatrix(A), y, 0.0)
         assert np.linalg.norm(sol.beta - want) <= 1e-10 * np.linalg.norm(want)
         assert sol.solved_via == "pseudoinverse"
+
+    @pytest.mark.parametrize("p, n", [(32, 64), (64, 32), (4, 200), (200, 4)])
+    @pytest.mark.parametrize("factor", [0.5, 2.0, 1e6])
+    def test_ridgeless_matches_eigh_truncation(self, p, n, factor):
+        # A = U diag(sqrt(lam)) V^T puts the smallest Gram eigenvalue at
+        # `factor` times the pinv cut-off lambda_max max(p, n) eps; below the
+        # cut-off it must be dropped, above it kept
+        rng = np.random.default_rng(6)
+        r = min(p, n)
+        U = np.linalg.qr(rng.standard_normal((p, r)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        lam = rng.uniform(0.5, 1.0, r)
+        lam[0] = 1.0
+        lam[-1] = factor * max(p, n) * EPS
+        A = (U * np.sqrt(lam)) @ V.T
+        y = rng.standard_normal(n)
+        want = eigh_min_norm(A, y)
+        got = ridge.min_norm_solve(A, y)
+        kept = lam[lam > max(p, n) * EPS]
+        kappa = kept.max() / kept.min()
+        assert np.linalg.norm(got - want) <= 10 * kappa * EPS * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("m, size", [(32, 64), (4, 200)])
+    def test_certificate_keeps_its_margin(self, m, size):
+        # (32, 64): the backward-error term of the shift dominates; (4, 200):
+        # the cut-off term does. Cholesky of G - s I certifies a smallest
+        # eigenvalue at 2 s and refuses one at s / 2.
+        rng = np.random.default_rng(7)
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        lam = rng.uniform(0.5, 1.0, m)
+        lam[-1] = 0.0
+        G = (Q * lam) @ Q.T
+        shift = (np.linalg.norm(G, np.inf) * size * EPS
+                 + m * (m + 1) * EPS * G.diagonal().max())
+        for factor, certified in ((2.0, True), (0.5, False)):
+            lam[-1] = factor * shift
+            G = (Q * lam) @ Q.T
+            assert ridge._certified_full_rank(G, size) is certified
 
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
