@@ -175,8 +175,11 @@ def _run_mp(params, out):
     p = params["p"]
     for c in params["c_list"]:
         n = _mp_n(p, c)
-        X = gaussian_matrix(p, n, 1.0, params["seed"])
-        lam = np.linalg.eigvalsh(X.entries @ X.entries.T / n)
+        X = gaussian_matrix(p, n, 1.0, params["seed"]).entries
+        G = X @ X.T
+        del X  # free the draw before eigvalsh allocates its workspace
+        G /= n
+        lam = np.linalg.eigvalsh(G)
         # rank deficiency at c > 1 produces exact zeros up to rounding; clamp
         # them so they sit on the law's atom
         lam[np.abs(lam) <= rank_tolerance(lam, p)] = 0.0
@@ -365,13 +368,16 @@ def _run_ck_depth(params, out):
                               empirical_stderr=0.0, theory=float("nan"), trials=1))
     # empirical two-layer CK at the requested width
     rng = np.random.default_rng(params["seed"] + 1)
-    W1 = rng.standard_normal((width, p))
-    P1 = act.evaluate(W1 @ X.entries)
-    # W2 is drawn in row blocks: successive draws from one generator give the
-    # rows of the single width x width draw, without holding all of it
+    P1 = act.evaluate(rng.standard_normal((width, p)) @ X.entries)
+    # W2 is drawn in row blocks into one buffer: successive draws from one
+    # generator give the rows of the single width x width draw, without
+    # holding all of it
     P2 = np.empty((width, n))
+    block = np.empty((min(512, width), width))
     for start in range(0, width, 512):
-        W2_rows = rng.standard_normal((min(512, width - start), width)) / np.sqrt(width)
+        W2_rows = block[:min(512, width - start)]
+        rng.standard_normal(W2_rows.shape, out=W2_rows)
+        W2_rows /= np.sqrt(width)
         P2[start:start + len(W2_rows)] = act.evaluate(W2_rows @ P1)
     K2t = hk.ck_linear_equivalent(X, alphas, 2)
     gap = symmetric_norm(P2.T @ P2 / width - K2t) / symmetric_norm(K2t)

@@ -179,10 +179,18 @@ class SweepSpec:
     beta_norm2: float = 1.0
 
 
-def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
+def _sample_count(spec: SweepSpec, ratio):
+    """Sample count n = round(ratio * p), at least 1, simulated at a ratio."""
+    return max(1, int(round(ratio * spec.p)))
+
+
+def _sweep_point(spec: SweepSpec, ratio, gamma, point_index, buffer):
+    """The two rows of one (ratio, gamma) point; every trial's p x n draw
+    goes into the front of the flat float64 ``buffer``."""
     p = spec.p
-    n = max(1, int(round(ratio * p)))
+    n = _sample_count(spec, ratio)
     c = p / n
+    draw = buffer[:p * n].reshape(p, n)
     rng = np.random.default_rng(spec.seed)
     direction = rng.standard_normal(p)
     bstar = direction / np.linalg.norm(direction) * np.sqrt(spec.beta_norm2)
@@ -195,7 +203,7 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
     failures = 0
     for t in range(spec.trials):
         try:
-            X = gaussian_matrix(p, n, 1.0, base + t)
+            X = gaussian_matrix(p, n, 1.0, base + t, draw)
             y = linear_targets(X, truth, base + t + 50_000_000)
             sol = ridge_fit(X, y, gamma)
             risks = empirical_risks(sol, truth, X)
@@ -223,15 +231,18 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
 def sweep_double_descent(spec: SweepSpec):
     """Seeded Monte Carlo sweep over (ratio, gamma) grid; rows sorted by (gamma, ratio).
 
-    Trials derive their seeds from the spec seed and the point index.
+    Trials derive their seeds from the spec seed and the point index. Every
+    trial draws into one buffer sized for the largest n, so the sweep holds
+    one draw at a time.
     """
     if spec.trials < 1:
         raise ValueError("need at least one trial")
     if any(r <= 0 for r in spec.ratios):
         raise ValueError("ratios must be positive")
     points = [(g, r) for g in spec.gammas for r in spec.ratios]
+    buffer = np.empty(spec.p * max(_sample_count(spec, r) for r in spec.ratios))
     rows = []
     for i, (g, r) in enumerate(points):
-        rows.extend(_sweep_point(spec, r, g, i))
+        rows.extend(_sweep_point(spec, r, g, i, buffer))
     rows.sort(key=lambda row: (row.gamma, row.ratio, row.metric))
     return rows

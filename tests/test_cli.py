@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -300,6 +301,15 @@ class TestRunExperiments:
         assert "numerical failure in ridge-sweep: Unable to allocate" in err, err
         assert "Traceback" not in err
 
+    def test_unallocatable_draw_buffer_exit_3(self, tmp_path, capsys):
+        # p x n = 1e15 doubles: the buffer allocation fails without touching memory
+        path = write_config(tmp_path, "seed = 1\np = 100000\nratios = 100000\n"
+                                      "trials = 1\n")
+        assert cli.main(["ridge-sweep", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure in ridge-sweep: Unable to allocate" in err, err
+        assert "Traceback" not in err
+
     def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RMT_EQUIV_SEED", "abc")
         path = write_config(tmp_path, "seed = 1\np = 16\n")
@@ -409,6 +419,18 @@ class TestRunExperiments:
         K2t = hk.ck_linear_equivalent(X, hk.ck_alphas([act] * 2), 2)
         want = np.linalg.norm(P2.T @ P2 / 700 - K2t, 2) / np.linalg.norm(K2t, 2)
         assert gap == pytest.approx(want, rel=1e-10)
+
+    def test_ck_depth_holds_one_weight_block(self, tmp_path):
+        params = {"seed": 5, "layers": 2, "n": 16, "p": 16, "width": 1024}
+        cli._run_ck_depth(params, str(tmp_path))  # warm-up
+        tracemalloc.start()
+        try:
+            cli._run_ck_depth(params, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 512 * 1024 * 8
+        assert peak <= 1.5 * block, peak / block
 
     def test_dynamics_small(self, tmp_path):
         path = write_config(tmp_path,

@@ -1,11 +1,15 @@
 """Ridge fits, risk formulas (empirical and closed form), double-descent sweeps."""
 
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from rmt_equiv import ridge
 from rmt_equiv.errors import SingularityError
-from rmt_equiv.randgen import DataMatrix, GroundTruth, gaussian_matrix
+from rmt_equiv.randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets
+from rmt_equiv.results import ResultRow
 
 EPS = np.finfo(float).eps
 
@@ -20,6 +24,31 @@ def eigh_min_norm(A, y):
     if p <= n:
         return U @ ((U.T @ (A @ y)) / lam)
     return A @ (U @ ((U.T @ y) / lam))
+
+
+def per_trial_allocation_sweep(spec):
+    """The double-descent sweep with a fresh draw allocated for every trial."""
+    rows = []
+    for i, (gamma, ratio) in enumerate((g, r) for g in spec.gammas for r in spec.ratios):
+        p = spec.p
+        n = max(1, int(round(ratio * p)))
+        c = p / n
+        direction = np.random.default_rng(spec.seed).standard_normal(p)
+        bstar = direction / np.linalg.norm(direction) * np.sqrt(spec.beta_norm2)
+        truth = GroundTruth(beta_star=bstar, sigma2=spec.sigma2)
+        r_in, r_out = np.empty(spec.trials), np.empty(spec.trials)
+        base = spec.seed + 100_003 * i
+        for t in range(spec.trials):
+            X = gaussian_matrix(p, n, 1.0, base + t)
+            y = linear_targets(X, truth, base + t + 50_000_000)
+            risks = ridge.empirical_risks(ridge.ridge_fit(X, y, gamma), truth, X)
+            r_in[t], r_out[t] = risks.r_in, risks.r_out
+        theory = ridge.risk_theory(gamma, c, spec.beta_norm2, spec.sigma2)
+        rows += [ResultRow.from_trials(n / p, gamma, metric, vals, th)
+                 for metric, vals, th in (("r_in", r_in, theory.r_in),
+                                          ("r_out", r_out, theory.r_out))]
+    rows.sort(key=lambda row: (row.gamma, row.ratio, row.metric))
+    return rows
 
 
 class TestRidgeFit:
@@ -291,6 +320,28 @@ class TestSweep:
         rows = ridge.sweep_double_descent(spec)
         assert [r.ratio for r in rows] == [9 / 16, 9 / 16]
         assert rows[1].theory == ridge.risk_theory(0.1, 16 / 9, 1.0, 0.1).r_out
+
+    def test_shared_draw_buffer_matches_per_trial_allocation(self):
+        spec = ridge.SweepSpec(ratios=[0.5, 2.0], gammas=[0.0, 0.1], trials=3, p=32,
+                               sigma2=0.1, seed=13)
+        got, want = ridge.sweep_double_descent(spec), per_trial_allocation_sweep(spec)
+        assert len(got) == len(want) == 8
+        for row, ref in zip(got, want):
+            assert all(a == b or (a != a and b != b)  # NaN equals NaN
+                       for a, b in zip(astuple(row), astuple(ref))), (row, ref)
+
+    def test_sweep_holds_one_draw(self):
+        spec = ridge.SweepSpec(ratios=[0.5, 4.0, 16.0], gammas=[0.0, 0.1], trials=3,
+                               p=64, sigma2=0.1, seed=5)
+        ridge.sweep_double_descent(spec)  # warm-up
+        tracemalloc.start()
+        try:
+            ridge.sweep_double_descent(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest_draw = 64 * 1024 * 8
+        assert peak <= 1.5 * largest_draw, peak / largest_draw
 
     def test_peak_row_flagged(self):
         spec = ridge.SweepSpec(ratios=[1.0], gammas=[0.0], trials=2, p=16,
