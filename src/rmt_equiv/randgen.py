@@ -26,8 +26,6 @@ class DataMatrix:
         self.entries = np.asarray(self.entries, dtype=float)
         if self.entries.ndim != 2:
             raise ValueError("entries must be a 2-d array")
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("entries must all be finite")
 
     @property
     def p(self):
@@ -84,8 +82,8 @@ def gaussian_matrix(rows, cols, variance, seed, out=None) -> DataMatrix:
     overwritten by the next draw into the same buffer.
     """
     _check_dims(rows, cols)
-    if not variance > 0:
-        raise ValueError("variance must be positive")
+    if not 0 < variance < np.inf:
+        raise ValueError("variance must be positive and finite")
     # the generator also fills an F-ordered out, but in memory order, which
     # would transpose the stream
     if out is not None and not out.flags.c_contiguous:
@@ -97,6 +95,15 @@ def gaussian_matrix(rows, cols, variance, seed, out=None) -> DataMatrix:
         entries *= np.sqrt(variance)
     return DataMatrix(entries, {"distribution": "gaussian", "seed": seed,
                                 "normalization": "none", "variance": variance})
+
+
+def stream(seed, role, point, trial):
+    """The Generator of one random quantity: ``role`` names the quantity (the
+    caller's numbering), ``point`` the sweep point and ``trial`` the Monte
+    Carlo trial. Distinct (seed, role, point, trial) keys give independent
+    streams, derived by ``SeedSequence`` spawn keys (NEP 19)."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(role, point, trial)))
 
 
 def rademacher_matrix(rows, cols, seed) -> DataMatrix:
@@ -201,6 +208,10 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
     if not cols:
         raise EmptyDatasetError(f"no rows with labels {labels_keep} in {path}")
     entries = np.stack(cols, axis=1)
+    # generated data is finite by construction; outside data is checked here,
+    # before a NaN can pass the normalization checks unseen
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("entries must all be finite")
     entries = _apply_normalization(entries, normalization)
     if len(labels_keep) == 2:
         lo = labels_keep[0]

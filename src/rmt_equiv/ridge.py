@@ -22,7 +22,7 @@ import numpy as np
 
 from .det_equiv import mp_stieltjes, mp_stieltjes_derivative
 from .errors import ConvergenceError, SingularityError
-from .randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets
+from .randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets, stream
 from .results import ResultRow
 from .spectral import rank_tolerance
 
@@ -184,12 +184,94 @@ def _sample_count(spec: SweepSpec, ratio):
     return max(1, int(round(ratio * spec.p)))
 
 
-def _sweep_point(spec: SweepSpec, ratio, gamma, point_index, buffer):
-    """The two rows of one (ratio, gamma) point; every trial's p x n draw
-    goes into the front of the flat float64 ``buffer``."""
+# stream roles of the gamma > 0 sampler (``randgen.stream``)
+DESIGN, TRUTH, NOISE = 0, 1, 2
+
+
+def draw_bidiagonal(spec: SweepSpec, n, point_index):
+    """The random inputs (a, s, b, z) of ``bidiagonal_risks`` for every trial
+    of one point with n samples, stacked over trials.
+
+    With m = min(p, n) and k = max(p, n): a (trials x m) holds
+    a_i = chi_(k - i), s (trials x m-1) holds s_i = chi_(m - 1 - i), b
+    (trials x p) is uniform on the sphere of radius ||beta_*|| and z
+    (trials x m) is standard normal. Trial t of point i draws each from its
+    own stream ``randgen.stream(seed, role, i, t)``.
+    """
+    p, trials = spec.p, spec.trials
+    m, k = min(p, n), max(p, n)
+    a, s = np.empty((trials, m)), np.empty((trials, m - 1))
+    b, z = np.empty((trials, p)), np.empty((trials, m))
+    for t in range(trials):
+        design = stream(spec.seed, DESIGN, point_index, t)
+        a[t] = design.chisquare(k - np.arange(m))
+        s[t] = design.chisquare(np.arange(m - 1, 0, -1))
+        b[t] = stream(spec.seed, TRUTH, point_index, t).standard_normal(p)
+        z[t] = stream(spec.seed, NOISE, point_index, t).standard_normal(m)
+    np.sqrt(a, out=a)
+    np.sqrt(s, out=s)
+    b *= np.sqrt(spec.beta_norm2) / np.linalg.norm(b, axis=1, keepdims=True)
+    return a, s, b, z
+
+
+def _tridiagonal_solve(d, e, r):
+    """x with T x = r, for T symmetric positive definite tridiagonal with
+    diagonal d and off-diagonal e, by T = L D L^T (Thomas' sweep; stable
+    without pivoting for SPD T). Each array runs along its last axis; leading
+    axes are independent systems, solved together."""
+    m = d.shape[-1]
+    # the sweep walks the first axis, so each step reads one contiguous row
+    d = np.moveaxis(d, -1, 0).copy()
+    e = np.moveaxis(e, -1, 0)
+    x = np.moveaxis(r, -1, 0).copy()
+    l = np.empty_like(e)
+    for i in range(1, m):
+        l[i - 1] = e[i - 1] / d[i - 1]
+        d[i] -= l[i - 1] * e[i - 1]
+        x[i] -= l[i - 1] * x[i - 1]
+    x[m - 1] /= d[m - 1]
+    for i in range(m - 2, -1, -1):
+        x[i] = x[i] / d[i] - l[i] * x[i + 1]
+    return np.moveaxis(x, 0, -1)
+
+
+def bidiagonal_risks(a, s, b, z, n, gamma, sigma2):
+    """Realized (r_in, r_out) of ridge at gamma > 0 on a Gaussian design,
+    simulated from the bidiagonal Laguerre model (Dumitriu & Edelman, J. Math.
+    Phys. 43, 2002).
+
+    A p x n standard Gaussian X is U [B 0] V^T (p <= n) or U [B; 0] V^T
+    (p > n) for orthogonal U, V and the m x m lower-bidiagonal B with diagonal
+    a and subdiagonal s, m = min(p, n). For an isotropic beta_* and noise,
+    b = U^T beta_* and z = V^T eps / sigma (first m entries) are independent
+    of B, so with w the first m entries of beta - beta_* in that basis,
+
+        (B B^T / n + gamma I) w = sigma B z / n - gamma b[:m],
+        r_out = ||w||^2 + ||b[m:]||^2,   r_in = ||B^T w||^2 / n.
+
+    This is the law of ``empirical_risks`` after ``ridge_fit``, in O(m) per
+    trial. Arrays run along their last axis; leading axes are trials.
+    """
+    m = a.shape[-1]
+    d = a * a
+    d[..., 1:] += s * s
+    d /= n
+    d += gamma
+    Bz = a * z
+    Bz[..., 1:] += s * z[..., :-1]
+    w = _tridiagonal_solve(d, a[..., :-1] * s / n,
+                           np.sqrt(sigma2) / n * Bz - gamma * b[..., :m])
+    Btw = a * w
+    Btw[..., :-1] += s * w[..., 1:]
+    r_in = np.sum(Btw * Btw, axis=-1) / n
+    r_out = np.sum(w * w, axis=-1) + np.sum(b[..., m:] ** 2, axis=-1)
+    return r_in, r_out
+
+
+def _direct_trials(spec: SweepSpec, n, point_index, buffer):
+    """r_in, r_out and the failure count of the gamma = 0 trials of one point,
+    each fitted on a p x n draw into the front of the flat ``buffer``."""
     p = spec.p
-    n = _sample_count(spec, ratio)
-    c = p / n
     draw = buffer[:p * n].reshape(p, n)
     rng = np.random.default_rng(spec.seed)
     direction = rng.standard_normal(p)
@@ -198,20 +280,39 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index, buffer):
 
     r_in_vals = np.empty(spec.trials)
     r_out_vals = np.empty(spec.trials)
-    status = "peak" if abs(c - 1.0) < PEAK_RATIO_BAND and gamma == 0 else "ok"
     base = spec.seed + 100_003 * point_index
     failures = 0
     for t in range(spec.trials):
         try:
             X = gaussian_matrix(p, n, 1.0, base + t, draw)
             y = linear_targets(X, truth, base + t + 50_000_000)
-            sol = ridge_fit(X, y, gamma)
+            sol = ridge_fit(X, y, 0.0)
             risks = empirical_risks(sol, truth, X)
             r_in_vals[t], r_out_vals[t] = risks.r_in, risks.r_out
         except (np.linalg.LinAlgError, SingularityError, ConvergenceError):
             # recorded in the row status; never aborts the sweep
             r_in_vals[t] = r_out_vals[t] = np.nan
             failures += 1
+    return r_in_vals, r_out_vals, failures
+
+
+def _sweep_point(spec: SweepSpec, ratio, gamma, point_index, buffer):
+    """The two rows of one (ratio, gamma) point. A gamma > 0 point simulates
+    its trials with ``bidiagonal_risks``; a gamma = 0 point fits each trial
+    on a direct draw into ``buffer``."""
+    p = spec.p
+    n = _sample_count(spec, ratio)
+    c = p / n
+    if gamma > 0:
+        r_in_vals, r_out_vals = bidiagonal_risks(
+            *draw_bidiagonal(spec, n, point_index), n, gamma, spec.sigma2)
+        # a trial the sampler could not finish fails as a direct trial would
+        failed = ~(np.isfinite(r_in_vals) & np.isfinite(r_out_vals))
+        r_in_vals[failed] = r_out_vals[failed] = np.nan
+        failures = int(failed.sum())
+    else:
+        r_in_vals, r_out_vals, failures = _direct_trials(spec, n, point_index, buffer)
+    status = "peak" if abs(c - 1.0) < PEAK_RATIO_BAND and gamma == 0 else "ok"
     if failures:
         status = f"{failures}-trials-failed"
 
@@ -231,16 +332,21 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index, buffer):
 def sweep_double_descent(spec: SweepSpec):
     """Seeded Monte Carlo sweep over (ratio, gamma) grid; rows sorted by (gamma, ratio).
 
-    Trials derive their seeds from the spec seed and the point index. Every
-    trial draws into one buffer sized for the largest n, so the sweep holds
-    one draw at a time.
+    Trials derive their streams from the spec seed and the point index.
+    gamma > 0 points are simulated from the bidiagonal Laguerre model
+    (``bidiagonal_risks``). gamma = 0 points draw every trial into one buffer
+    sized for their largest n, so the sweep holds one draw at a time.
     """
     if spec.trials < 1:
         raise ValueError("need at least one trial")
     if any(r <= 0 for r in spec.ratios):
         raise ValueError("ratios must be positive")
+    if not all(g >= 0 for g in spec.gammas):
+        raise ValueError("gammas must be >= 0")
     points = [(g, r) for g in spec.gammas for r in spec.ratios]
-    buffer = np.empty(spec.p * max(_sample_count(spec, r) for r in spec.ratios))
+    buffer = None
+    if any(g == 0 for g in spec.gammas):
+        buffer = np.empty(spec.p * max(_sample_count(spec, r) for r in spec.ratios))
     rows = []
     for i, (g, r) in enumerate(points):
         rows.extend(_sweep_point(spec, r, g, i, buffer))

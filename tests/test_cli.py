@@ -268,6 +268,15 @@ class TestRunExperiments:
         assert re.search(rf"\b{key}\b", err), err
         assert "Traceback" not in err
 
+    def test_non_finite_dataset_exit_2(self, tmp_path, capsys):
+        data = write_config(tmp_path, "1,0.5,0.25\n2,nan,0.5\n" * 20, name="nan.csv")
+        path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\np = 2\n"
+                                      f"dataset = {data}\n")
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: dataset {data}: entries must all be finite" in err, err
+        assert "Traceback" not in err
+
     def test_complex_contour_projection_exit_3(self, tmp_path, capsys):
         # the shipped dynamics sizes at t = 200: the contour quadrature loses
         # the real part of the projection and raises a bare ArithmeticError
@@ -291,11 +300,20 @@ class TestRunExperiments:
         assert "Traceback" not in err
 
     def test_failed_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
+        self.check_failed_allocation(tmp_path, capsys, monkeypatch, "gaussian_matrix", 0)
+
+    def test_failed_sampler_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
+        self.check_failed_allocation(tmp_path, capsys, monkeypatch, "draw_bidiagonal",
+                                     0.1)
+
+    @staticmethod
+    def check_failed_allocation(tmp_path, capsys, monkeypatch, target, gamma):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 3.81 TiB")
 
-        monkeypatch.setattr(ridge, "gaussian_matrix", no_memory)
-        path = write_config(tmp_path, "seed = 1\np = 8\nratios = 2\ntrials = 1\n")
+        monkeypatch.setattr(ridge, target, no_memory)
+        path = write_config(tmp_path, "seed = 1\np = 8\nratios = 2\ntrials = 1\n"
+                                      f"gammas = {gamma}\n")
         assert cli.main(["ridge-sweep", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure in ridge-sweep: Unable to allocate" in err, err
@@ -304,7 +322,7 @@ class TestRunExperiments:
     def test_unallocatable_draw_buffer_exit_3(self, tmp_path, capsys):
         # p x n = 1e15 doubles: the buffer allocation fails without touching memory
         path = write_config(tmp_path, "seed = 1\np = 100000\nratios = 100000\n"
-                                      "trials = 1\n")
+                                      "trials = 1\ngammas = 0\n")
         assert cli.main(["ridge-sweep", "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure in ridge-sweep: Unable to allocate" in err, err

@@ -35,6 +35,12 @@ class TestGaussianMatrix:
         with pytest.raises(ValueError):
             randgen.gaussian_matrix(3, 3, 0.0, 0)
 
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_non_finite_variance_rejected(self, variance):
+        # a draw is not scanned for finiteness, so the variance is checked
+        with pytest.raises(ValueError, match="variance"):
+            randgen.gaussian_matrix(3, 3, variance, 0)
+
     @pytest.mark.parametrize("variance", [1.0, 2.5])
     def test_same_values_as_generator_normal(self, variance):
         X = randgen.gaussian_matrix(30, 20, variance, 9)
@@ -61,6 +67,21 @@ class TestGaussianMatrix:
     def test_out_must_be_c_contiguous_of_the_shape(self, out):
         with pytest.raises(ValueError):
             randgen.gaussian_matrix(30, 20, 1.0, 9, out)
+
+
+class TestStream:
+    def test_distinct_keys_draw_distinct_values(self):
+        # neighbouring seeds too: seed s + 1 must not replay a key of seed s
+        keys = [(seed, role, point, trial) for seed in (11, 12) for role in range(3)
+                for point in range(4) for trial in range(4)]
+        draws = [randgen.stream(*key).standard_normal(4) for key in keys]
+        # the plain seed stream, which a sweep's first draw used to share
+        draws.append(np.random.default_rng(11).standard_normal(4))
+        assert len({tuple(v) for v in draws}) == len(draws)
+
+    def test_same_key_same_stream(self):
+        a = randgen.stream(5, 2, 3, 4).standard_normal(8)
+        assert np.array_equal(a, randgen.stream(5, 2, 3, 4).standard_normal(8))
 
 
 class TestRademacherMatrix:
@@ -185,6 +206,13 @@ class TestIngestDataset:
         path = self._write(tmp_path, "1,0.5,0.5\n")
         with pytest.raises(EmptyDatasetError):
             randgen.ingest_dataset(path, {9})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("normalization", ["none", "unit-sphere"])
+    def test_non_finite_feature_rejected(self, tmp_path, value, normalization):
+        path = self._write(tmp_path, f"1,0.5,0.5\n1,{value},3\n")
+        with pytest.raises(ValueError, match="entries must all be finite"):
+            randgen.ingest_dataset(path, {1}, normalization)
 
     def test_header_skip(self, tmp_path):
         path = self._write(tmp_path, "label,f1,f2\n1,0.5,0.5\n")

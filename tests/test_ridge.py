@@ -8,7 +8,8 @@ import pytest
 
 from rmt_equiv import ridge
 from rmt_equiv.errors import SingularityError
-from rmt_equiv.randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets
+from rmt_equiv.randgen import (DataMatrix, GroundTruth, gaussian_matrix, linear_targets,
+                               stream)
 from rmt_equiv.results import ResultRow
 
 EPS = np.finfo(float).eps
@@ -24,6 +25,35 @@ def eigh_min_norm(A, y):
     if p <= n:
         return U @ ((U.T @ (A @ y)) / lam)
     return A @ (U @ ((U.T @ y) / lam))
+
+
+def chi_draw_one_trial(spec, n, point, trial):
+    """(a, s, b, z) of one sampler trial, drawn from the streams as laid out:
+    the design (a, then s), the truth and the noise, each its own key."""
+    p = spec.p
+    m, k = min(p, n), max(p, n)
+    design = stream(spec.seed, 0, point, trial)
+    a = np.sqrt(design.chisquare(k - np.arange(m)))
+    s = np.sqrt(design.chisquare(np.arange(m - 1, 0, -1)))
+    b = stream(spec.seed, 1, point, trial).standard_normal(p)
+    b *= np.sqrt(spec.beta_norm2) / np.linalg.norm(b)
+    z = stream(spec.seed, 2, point, trial).standard_normal(m)
+    return a, s, b, z
+
+
+def dense_design(a, s, b, z, p, n, sigma2):
+    """X = [B 0] (p <= n) or [B; 0] (p > n) and the targets y = X^T b + eps,
+    eps = sigma (z, 0) or sigma z: the data the bidiagonal model stands for."""
+    m = a.size
+    B = np.diag(a) + np.diag(s, -1)
+    X = np.zeros((p, n))
+    eps = np.zeros(n)
+    if p <= n:
+        X[:, :m] = B
+    else:
+        X[:m] = B
+    eps[:m] = np.sqrt(sigma2) * z
+    return DataMatrix(X), X.T @ b + eps
 
 
 def per_trial_allocation_sweep(spec):
@@ -267,7 +297,8 @@ class TestSweep:
         assert rows1 == rows2
 
     def test_only_numerical_trial_failures_recorded(self, monkeypatch):
-        spec = ridge.SweepSpec(ratios=[2.0], gammas=[0.1], trials=2, p=16,
+        # gamma = 0: the trials fitted on direct draws
+        spec = ridge.SweepSpec(ratios=[2.0], gammas=[0.0], trials=2, p=16,
                                sigma2=0.1, seed=7)
 
         def raise_(exc):
@@ -322,10 +353,11 @@ class TestSweep:
         assert rows[1].theory == ridge.risk_theory(0.1, 16 / 9, 1.0, 0.1).r_out
 
     def test_shared_draw_buffer_matches_per_trial_allocation(self):
-        spec = ridge.SweepSpec(ratios=[0.5, 2.0], gammas=[0.0, 0.1], trials=3, p=32,
+        # gamma = 0, the points that draw into the buffer
+        spec = ridge.SweepSpec(ratios=[0.5, 2.0], gammas=[0.0], trials=3, p=32,
                                sigma2=0.1, seed=13)
         got, want = ridge.sweep_double_descent(spec), per_trial_allocation_sweep(spec)
-        assert len(got) == len(want) == 8
+        assert len(got) == len(want) == 4
         for row, ref in zip(got, want):
             assert all(a == b or (a != a and b != b)  # NaN equals NaN
                        for a, b in zip(astuple(row), astuple(ref))), (row, ref)
@@ -349,3 +381,105 @@ class TestSweep:
         rows = ridge.sweep_double_descent(spec)
         assert all(r.status == "peak" for r in rows)
         assert all(np.isnan(r.theory) for r in rows)
+
+
+class TestBidiagonalSampler:
+    @pytest.mark.parametrize("p, n", [(6, 10), (10, 6), (8, 8), (5, 40), (40, 5)])
+    @pytest.mark.parametrize("gamma", [1e-5, 0.1])
+    def test_matches_dense_fit(self, p, n, gamma):
+        # the agreement is bounded by cond(B B^T / n + gamma I) eps, since both
+        # sides form that matrix; the square case at gamma = 1e-5 is the worst
+        spec = ridge.SweepSpec(ratios=[n / p], gammas=[gamma], trials=1, p=p, seed=0)
+        a, s, b, z = chi_draw_one_trial(spec, n, 0, 0)
+        X, y = dense_design(a, s, b, z, p, n, 0.1)
+        want = ridge.empirical_risks(ridge.ridge_fit(X, y, gamma),
+                                     GroundTruth(b, 0.1), X)
+        r_in, r_out = ridge.bidiagonal_risks(a, s, b, z, n, gamma, 0.1)
+        assert r_in == pytest.approx(want.r_in, rel=1e-12, abs=0)
+        assert r_out == pytest.approx(want.r_out, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p, n", [(7, 12), (12, 7)])
+    def test_chi_degrees_of_freedom(self, p, n):
+        # T = B B^T has the Wishart moments E tr T = mk, E tr T^2 = mk(m + k + 1)
+        trials = 4000
+        spec = ridge.SweepSpec(ratios=[n / p], gammas=[0.1], trials=trials, p=p,
+                               seed=21)
+        a, s, _, _ = ridge.draw_bidiagonal(spec, n, 0)
+        diag = a**2
+        diag[:, 1:] += s**2
+        off = a[:, :-1] * s
+        tr1 = diag.sum(axis=1)
+        tr2 = (diag**2).sum(axis=1) + 2 * (off**2).sum(axis=1)
+        m, k = min(p, n), max(p, n)
+        for vals, want in ((tr1, m * k), (tr2, m * k * (m + k + 1))):
+            se = vals.std(ddof=1) / np.sqrt(trials)
+            assert abs(vals.mean() - want) <= 4 * se, (vals.mean(), want, se)
+
+    @pytest.mark.parametrize("n", [16, 48, 128])
+    @pytest.mark.parametrize("gamma", [0.05, 0.5])
+    def test_agrees_with_direct_draws(self, n, gamma):
+        p, trials, sigma2 = 32, 4000, 0.1
+        spec = ridge.SweepSpec(ratios=[n / p], gammas=[gamma], trials=trials, p=p,
+                               sigma2=sigma2, seed=17)
+        sampled = ridge.bidiagonal_risks(*ridge.draw_bidiagonal(spec, n, 0), n, gamma,
+                                         sigma2)
+        rng = np.random.default_rng(18)
+        direct = np.empty((2, trials))
+        for t in range(trials):
+            bstar = rng.standard_normal(p)
+            truth = GroundTruth(bstar / np.linalg.norm(bstar), sigma2)
+            X = DataMatrix(rng.standard_normal((p, n)))
+            y = X.entries.T @ truth.beta_star + np.sqrt(sigma2) * rng.standard_normal(n)
+            risks = ridge.empirical_risks(ridge.ridge_fit(X, y, gamma), truth, X)
+            direct[:, t] = risks.r_in, risks.r_out
+        for got, want in zip(sampled, direct):
+            se = np.hypot(got.std(ddof=1), want.std(ddof=1)) / np.sqrt(trials)
+            assert abs(got.mean() - want.mean()) <= 4 * se, (got.mean(), want.mean())
+
+    def test_sweep_rows_follow_the_stream_layout(self):
+        # every trial of point i draws from its own (role, i, t) streams, and
+        # the sweep's trials solved together equal each trial solved alone
+        spec = ridge.SweepSpec(ratios=[0.5, 2.0], gammas=[0.0, 0.1], trials=3, p=16,
+                               sigma2=0.1, seed=13)
+        rows = {(r.gamma, r.ratio, r.metric): r for r in ridge.sweep_double_descent(spec)}
+        for i, ratio in enumerate(spec.ratios, start=len(spec.ratios)):
+            n = round(ratio * spec.p)
+            vals = np.array([ridge.bidiagonal_risks(*chi_draw_one_trial(spec, n, i, t),
+                                                    n, 0.1, spec.sigma2)
+                             for t in range(spec.trials)])
+            for metric, want in zip(("r_in", "r_out"), vals.T):
+                row = rows[(0.1, n / spec.p, metric)]
+                ref = ResultRow.from_trials(n / spec.p, 0.1, metric, want, row.theory)
+                assert row.empirical_mean == pytest.approx(ref.empirical_mean, rel=1e-14)
+                assert row.empirical_stderr == pytest.approx(ref.empirical_stderr,
+                                                             rel=1e-12)
+
+    def test_non_finite_trial_recorded(self, monkeypatch):
+        spec = ridge.SweepSpec(ratios=[2.0], gammas=[0.1], trials=3, p=16,
+                               sigma2=0.1, seed=7)
+        real = ridge.bidiagonal_risks
+
+        def one_nan(*args):
+            r_in, r_out = real(*args)
+            r_out[1] = np.nan
+            return r_in, r_out
+
+        monkeypatch.setattr(ridge, "bidiagonal_risks", one_nan)
+        rows = ridge.sweep_double_descent(spec)
+        assert [r.status for r in rows] == ["1-trials-failed"] * 2
+        assert [r.trials for r in rows] == [2, 2]
+        assert all(np.isfinite(r.empirical_mean) for r in rows)
+
+    def test_no_draw_buffer_without_a_ridgeless_point(self):
+        # p x n = 4e14 doubles: a gamma = 0 point could not allocate its buffer
+        spec = ridge.SweepSpec(ratios=[1e6], gammas=[0.1], trials=1, p=20000, seed=1)
+        rows = ridge.sweep_double_descent(spec)
+        assert [r.status for r in rows] == ["ok", "ok"]
+        with pytest.raises(MemoryError):
+            ridge.sweep_double_descent(ridge.SweepSpec(
+                ratios=[1e6], gammas=[0.0], trials=1, p=20000, seed=1))
+
+    def test_negative_gamma_rejected(self):
+        with pytest.raises(ValueError, match="gammas"):
+            ridge.sweep_double_descent(ridge.SweepSpec(ratios=[2.0], gammas=[-0.1],
+                                                       trials=1, p=4))
