@@ -27,13 +27,13 @@ from . import rf_nn
 from .det_equiv import MPParams, mp_cdf, mp_density
 from .errors import ConvergenceError, DatasetError, NearPhaseTransitionError, \
     SingularityError
-from .randgen import NORMALIZATIONS, DataMatrix, gaussian_matrix, ingest_dataset, \
-    sphere_dataset
+from .randgen import NORMALIZATIONS, DataMatrix, ingest_dataset, laguerre_bidiagonal, \
+    sphere_dataset, stream
 from .results import ResultRow, write_csv, write_rows
 from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
     sweep_double_descent
 from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, measure_to_rows, \
-    rank_tolerance, symmetric_norm
+    symmetric_norm
 
 
 @dataclass
@@ -170,19 +170,28 @@ def _check_mp(params):
 
 # ---------------------------------------------------------------- experiments
 
+def _row(ratio, metric, value, theory=0.0, trials=1):
+    """A gamma = 0 result row of one measurement, with no standard error."""
+    return ResultRow(float(ratio), 0.0, metric, value, 0.0, theory, trials)
+
+
+def _mp_eigenvalues(p, n, rng):
+    """Ascending eigenvalues of X X^T / n, X a p x n standard Gaussian: p - m zeros,
+    m = min(p, n), then those of B B^T / n for the m x m ``laguerre_bidiagonal``."""
+    m = min(p, n)
+    a, s = laguerre_bidiagonal(rng, m, max(p, n))
+    T = np.diag(a * a / n)
+    T.flat[m + 1::m + 1] += s * s / n
+    T.flat[1::m + 1] = T.flat[m::m + 1] = a[:-1] * s / n
+    return np.concatenate([np.zeros(p - m), np.linalg.eigvalsh(T)])
+
+
 def _run_mp(params, out):
     rows = []
     p = params["p"]
-    for c in params["c_list"]:
+    for i, c in enumerate(params["c_list"]):
         n = _mp_n(p, c)
-        X = gaussian_matrix(p, n, 1.0, params["seed"]).entries
-        G = X @ X.T
-        del X  # free the draw before eigvalsh allocates its workspace
-        G /= n
-        lam = np.linalg.eigvalsh(G)
-        # rank deficiency at c > 1 produces exact zeros up to rounding; clamp
-        # them so they sit on the law's atom
-        lam[np.abs(lam) <= rank_tolerance(lam, p)] = 0.0
+        lam = _mp_eigenvalues(p, n, stream(params["seed"], 0, i, 0))
         mp = MPParams.from_ratio(p / n)
         hi = mp.edges[1] * 1.05
         hist = esd_histogram(lam, params["bins"], (0.0, hi))
@@ -194,9 +203,7 @@ def _run_mp(params, out):
         write_csv(os.path.join(out, f"mp_density_c{tag}.csv"), "x,density",
                   zip(grid, dens))
         ks = ks_distance(lam, mp_cdf(p / n))
-        rows.append(ResultRow(ratio=p / n, gamma=0.0, metric="ks_distance",
-                              empirical_mean=ks, empirical_stderr=0.0,
-                              theory=0.0, trials=1))
+        rows.append(_row(p / n, "ks_distance", ks))
     write_rows(os.path.join(out, "mp_summary.csv"), rows)
     return max(r.empirical_mean for r in rows)
 
@@ -224,14 +231,8 @@ def _run_tanh_demo(params, out):
     # CLT-regime moment match: E[tanh(f) f] = a1 E[f^2] for the linearization
     emp = float(np.mean(np.tanh(f_clt) * f_clt) / np.mean(f_clt**2))
     lln_gap = float(np.abs(np.tanh(f_lln) - f_lln).max())
-    rows = [
-        ResultRow(ratio=float(n), gamma=0.0, metric="clt_moment_ratio",
-                  empirical_mean=emp, empirical_stderr=0.0, theory=a1,
-                  trials=draws),
-        ResultRow(ratio=float(n), gamma=0.0, metric="lln_linearization_gap",
-                  empirical_mean=lln_gap, empirical_stderr=0.0, theory=0.0,
-                  trials=draws),
-    ]
+    rows = [_row(n, "clt_moment_ratio", emp, a1, draws),
+            _row(n, "lln_linearization_gap", lln_gap, 0.0, draws)]
     write_rows(os.path.join(out, "tanh_demo_summary.csv"), rows)
     return abs(emp - a1)
 
@@ -343,11 +344,16 @@ def _run_kernel_lin(params, out):
         K = rf_nn.kernel_expectation(X, X, act)
         Kt = hk.linear_equivalent_kernel(X, coeffs)
         gap = symmetric_norm(K - Kt) / symmetric_norm(Kt)
-        rows.append(ResultRow(ratio=float(size), gamma=0.0,
-                              metric="linearization_gap", empirical_mean=float(gap),
-                              empirical_stderr=0.0, theory=0.0, trials=1))
+        rows.append(_row(size, "linearization_gap", float(gap)))
     write_rows(os.path.join(out, "kernel_lin.csv"), rows)
     return max(r.empirical_mean for r in rows)
+
+
+def _second_layer(P1, rng):
+    """W2 P1 for W2 ~ N(0, I / width), width = rows of P1, drawn from its law: each
+    row is N(0, P1^T P1 / width) = N(0, R^T R), R the QR factor of P1 / sqrt(width)."""
+    R = np.linalg.qr(P1, mode="r") / np.sqrt(len(P1))
+    return rng.standard_normal((len(P1), len(R))) @ R
 
 
 def _run_ck_depth(params, out):
@@ -359,31 +365,19 @@ def _run_ck_depth(params, out):
     eye = np.eye(n)
     for layer in range(L + 1):
         Kt = hk.ck_linear_equivalent(X, alphas, layer)
-        rows.append(ResultRow(ratio=float(layer), gamma=0.0, metric="alpha1",
-                              empirical_mean=alphas.alphas[layer][0],
-                              empirical_stderr=0.0, theory=float("nan"), trials=1))
-        rows.append(ResultRow(ratio=float(layer), gamma=0.0,
-                              metric="distance_to_identity",
-                              empirical_mean=symmetric_norm(Kt - eye),
-                              empirical_stderr=0.0, theory=float("nan"), trials=1))
-    # empirical two-layer CK at the requested width
-    rng = np.random.default_rng(params["seed"] + 1)
-    P1 = act.evaluate(rng.standard_normal((width, p)) @ X.entries)
-    # W2 is drawn in row blocks into one buffer: successive draws from one
-    # generator give the rows of the single width x width draw, without
-    # holding all of it
-    P2 = np.empty((width, n))
-    block = np.empty((min(512, width), width))
-    for start in range(0, width, 512):
-        W2_rows = block[:min(512, width - start)]
-        rng.standard_normal(W2_rows.shape, out=W2_rows)
-        W2_rows /= np.sqrt(width)
-        P2[start:start + len(W2_rows)] = act.evaluate(W2_rows @ P1)
+        rows += [_row(layer, "alpha1", alphas.alphas[layer][0], float("nan")),
+                 _row(layer, "distance_to_identity", symmetric_norm(Kt - eye),
+                      float("nan"))]
+    # empirical two-layer CK at the requested width; each layer's draw (role 0,
+    # then role 1) has its own stream. The width x n layers are temporaries,
+    # freed as soon as the next one is formed
+    P2 = act.evaluate(_second_layer(
+        act.evaluate(stream(params["seed"], 0, 0, 0).standard_normal((width, p))
+                     @ X.entries),
+        stream(params["seed"], 1, 0, 0)))
     K2t = hk.ck_linear_equivalent(X, alphas, 2)
     gap = symmetric_norm(P2.T @ P2 / width - K2t) / symmetric_norm(K2t)
-    rows.append(ResultRow(ratio=2.0, gamma=0.0, metric="empirical_ck_gap",
-                          empirical_mean=float(gap), empirical_stderr=0.0,
-                          theory=0.0, trials=1))
+    rows.append(_row(2, "empirical_ck_gap", float(gap)))
     write_rows(os.path.join(out, "ck_depth.csv"), rows)
     return float(gap)
 
@@ -427,9 +421,7 @@ def _run_dynamics(params, out):
     k_ntk = hk.ntk_recursion(cks, ckps, gram0)
     traj = dyn.ntk_trajectory(k_ntk, y, np.zeros(n), eta, params["times"])
     dyn.write_trajectory(os.path.join(out, "ntk_trajectory.csv"), traj)
-    rows = [ResultRow(ratio=float(t), gamma=0.0, metric="contour_vs_direct",
-                      empirical_mean=dv, empirical_stderr=0.0, theory=0.0, trials=1)
-            for t, dv in zip(params["times"], devs)]
+    rows = [_row(t, "contour_vs_direct", dv) for t, dv in zip(params["times"], devs)]
     write_rows(os.path.join(out, "dynamics_summary.csv"), rows)
     return max(devs)
 

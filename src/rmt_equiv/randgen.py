@@ -106,6 +106,15 @@ def stream(seed, role, point, trial):
         np.random.SeedSequence(seed, spawn_key=(role, point, trial)))
 
 
+def laguerre_bidiagonal(rng, m, k):
+    """Diagonal a_i = chi_(k - i), i < m, then subdiagonal s_i = chi_(m - 1 - i),
+    i < m - 1, drawn from ``rng``: the m x m lower-bidiagonal B for which B B^T
+    has the eigenvalues of X X^T, X an m x k standard Gaussian with k >= m
+    (Dumitriu & Edelman, J. Math. Phys. 43, 2002)."""
+    return (np.sqrt(rng.chisquare(k - np.arange(m))),
+            np.sqrt(rng.chisquare(np.arange(m - 1, 0, -1))))
+
+
 def rademacher_matrix(rows, cols, seed) -> DataMatrix:
     """i.i.d. +-1 matrix (zero mean, unit variance)."""
     _check_dims(rows, cols)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .det_equiv import mp_stieltjes, mp_stieltjes_derivative
 from .errors import ConvergenceError, SingularityError
-from .randgen import DataMatrix, GroundTruth, gaussian_matrix, linear_targets, stream
+from .randgen import DataMatrix, GroundTruth, gaussian_matrix, laguerre_bidiagonal, \
+    linear_targets, stream
 from .results import ResultRow
 from .spectral import rank_tolerance
 
@@ -192,9 +193,9 @@ def draw_bidiagonal(spec: SweepSpec, n, point_index):
     """The random inputs (a, s, b, z) of ``bidiagonal_risks`` for every trial
     of one point with n samples, stacked over trials.
 
-    With m = min(p, n) and k = max(p, n): a (trials x m) holds
-    a_i = chi_(k - i), s (trials x m-1) holds s_i = chi_(m - 1 - i), b
-    (trials x p) is uniform on the sphere of radius ||beta_*|| and z
+    With m = min(p, n) and k = max(p, n): a (trials x m) and s
+    (trials x m-1) stack the chi variables of ``laguerre_bidiagonal(rng, m,
+    k)``, b (trials x p) is uniform on the sphere of radius ||beta_*|| and z
     (trials x m) is standard normal. Trial t of point i draws each from its
     own stream ``randgen.stream(seed, role, i, t)``.
     """
@@ -203,13 +204,10 @@ def draw_bidiagonal(spec: SweepSpec, n, point_index):
     a, s = np.empty((trials, m)), np.empty((trials, m - 1))
     b, z = np.empty((trials, p)), np.empty((trials, m))
     for t in range(trials):
-        design = stream(spec.seed, DESIGN, point_index, t)
-        a[t] = design.chisquare(k - np.arange(m))
-        s[t] = design.chisquare(np.arange(m - 1, 0, -1))
+        a[t], s[t] = laguerre_bidiagonal(stream(spec.seed, DESIGN, point_index, t),
+                                         m, k)
         b[t] = stream(spec.seed, TRUTH, point_index, t).standard_normal(p)
         z[t] = stream(spec.seed, NOISE, point_index, t).standard_normal(m)
-    np.sqrt(a, out=a)
-    np.sqrt(s, out=s)
     b *= np.sqrt(spec.beta_norm2) / np.linalg.norm(b, axis=1, keepdims=True)
     return a, s, b, z
 

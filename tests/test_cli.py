@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmt_equiv import cli, randgen, rf_nn, ridge
+from rmt_equiv import cli, randgen, rf_nn, ridge, spectral
 from rmt_equiv import hermite_kernels as hk
+from rmt_equiv.det_equiv import mp_cdf
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -299,24 +300,38 @@ class TestRunExperiments:
                          f"is not accurate: rounding bound {bound} exceeds", err), err
         assert "Traceback" not in err
 
+    RIDGE_TOY = "seed = 1\np = 8\nratios = 2\ntrials = 1\ngammas = {}\n"
+
     def test_failed_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
-        self.check_failed_allocation(tmp_path, capsys, monkeypatch, "gaussian_matrix", 0)
+        self.check_failed_allocation(tmp_path, capsys, monkeypatch, ridge,
+                                     "gaussian_matrix", "ridge-sweep",
+                                     self.RIDGE_TOY.format(0))
 
     def test_failed_sampler_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
-        self.check_failed_allocation(tmp_path, capsys, monkeypatch, "draw_bidiagonal",
-                                     0.1)
+        self.check_failed_allocation(tmp_path, capsys, monkeypatch, ridge,
+                                     "draw_bidiagonal", "ridge-sweep",
+                                     self.RIDGE_TOY.format(0.1))
+
+    def test_failed_mp_sampler_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
+        self.check_failed_allocation(tmp_path, capsys, monkeypatch, cli,
+                                     "_mp_eigenvalues", "mp", "seed = 1\np = 8\n")
+
+    def test_failed_ck_sampler_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
+        self.check_failed_allocation(tmp_path, capsys, monkeypatch, cli,
+                                     "_second_layer", "ck-depth",
+                                     "seed = 1\nlayers = 2\nn = 8\np = 8\nwidth = 16\n")
 
     @staticmethod
-    def check_failed_allocation(tmp_path, capsys, monkeypatch, target, gamma):
+    def check_failed_allocation(tmp_path, capsys, monkeypatch, module, target,
+                                experiment, text):
         def no_memory(*args):
             raise MemoryError("Unable to allocate 3.81 TiB")
 
-        monkeypatch.setattr(ridge, target, no_memory)
-        path = write_config(tmp_path, "seed = 1\np = 8\nratios = 2\ntrials = 1\n"
-                                      f"gammas = {gamma}\n")
-        assert cli.main(["ridge-sweep", "--config", path, "--out", str(tmp_path)]) == 3
+        monkeypatch.setattr(module, target, no_memory)
+        path = write_config(tmp_path, text)
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 3
         err = capsys.readouterr().err
-        assert "numerical failure in ridge-sweep: Unable to allocate" in err, err
+        assert f"numerical failure in {experiment}: Unable to allocate" in err, err
         assert "Traceback" not in err
 
     def test_unallocatable_draw_buffer_exit_3(self, tmp_path, capsys):
@@ -327,6 +342,49 @@ class TestRunExperiments:
         err = capsys.readouterr().err
         assert "numerical failure in ridge-sweep: Unable to allocate" in err, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("p, n", [(6, 10), (10, 6), (8, 8)])
+    def test_mp_eigenvalues_are_those_of_the_bidiagonal_gram(self, p, n):
+        lam = cli._mp_eigenvalues(p, n, randgen.stream(3, 0, 0, 0))
+        m = min(p, n)
+        a, s = randgen.laguerre_bidiagonal(randgen.stream(3, 0, 0, 0), m, max(p, n))
+        X = np.zeros((p, n))  # [B 0] if p <= n, else [B; 0]
+        X[:m, :m] = np.diag(a) + np.diag(s, -1)
+        np.testing.assert_allclose(lam, np.linalg.eigvalsh(X @ X.T / n),
+                                   rtol=0, atol=1e-12)
+        # B is nonsingular, so the zeros are exactly those of the rank deficit
+        assert np.count_nonzero(lam == 0) == p - m
+        assert np.all(np.diff(lam) >= 0)
+
+    @pytest.mark.parametrize("p, n", [(6, 10), (10, 6)])
+    def test_mp_eigenvalue_moments(self, p, n):
+        # E tr(X X^T) = p n and E tr((X X^T)^2) = p n (p + n + 1) for a p x n
+        # standard Gaussian X; 4000 draws, each moment within 4 standard errors
+        lam = np.array([cli._mp_eigenvalues(p, n, randgen.stream(seed, 0, 0, 0)) * n
+                        for seed in range(4000)])
+        for moment, want in ((lam.sum(axis=1), p * n),
+                             ((lam ** 2).sum(axis=1), p * n * (p + n + 1))):
+            se = moment.std(ddof=1) / np.sqrt(moment.size)
+            assert abs(moment.mean() - want) <= 4 * se, (moment.mean(), want, se)
+
+    def test_mp_points_draw_from_their_own_streams(self, tmp_path):
+        path = write_config(tmp_path, "seed = 4\np = 16\nc_list = 0.5, 0.5\n")
+        assert cli.main(["mp", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "mp_summary.csv").read_text().splitlines()[1:]
+        ks = [row.split(",")[3] for row in rows]
+        want = [f"{spectral.ks_distance(lam, mp_cdf(0.5)):.9g}"
+                for lam in (cli._mp_eigenvalues(16, 32, randgen.stream(4, 0, i, 0))
+                            for i in range(2))]
+        assert ks == want and ks[0] != ks[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shipped_mp_ks_within_tolerance(self, tmp_path, monkeypatch, seed):
+        monkeypatch.setenv("RMT_EQUIV_SEED", str(seed))
+        shipped = str(ROOT / "configs" / "mp.cfg")
+        assert cli.main(["mp", "--config", shipped, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "mp_summary.csv").read_text().splitlines()[1:]
+        ks = [float(row.split(",")[3]) for row in rows]
+        assert len(ks) == 4 and max(ks) <= 0.03, ks
 
     def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RMT_EQUIV_SEED", "abc")
@@ -424,19 +482,56 @@ class TestRunExperiments:
         text = (tmp_path / "ck_depth.csv").read_text()
         assert "alpha1" in text and "empirical_ck_gap" in text
 
-    def test_ck_depth_blocked_draw_matches_one_draw(self, tmp_path):
-        # width 700 is one full 512-row block of W2 plus a partial one
+    def test_ck_depth_gap_is_that_of_the_sampled_second_layer(self, tmp_path):
         params = {"seed": 5, "layers": 2, "n": 12, "p": 12, "width": 700}
         gap = cli._run_ck_depth(params, str(tmp_path))
         act = hk.normalize_activation(rf_nn.get_activation("tanh"))
         X = randgen.sphere_dataset(12, 12, 5)
-        rng = np.random.default_rng(6)
-        W1 = rng.standard_normal((700, 12))
-        W2 = rng.standard_normal((700, 700)) / np.sqrt(700)
-        P2 = act.evaluate(W2 @ act.evaluate(W1 @ X.entries))
+        P1 = act.evaluate(randgen.stream(5, 0, 0, 0).standard_normal((700, 12))
+                          @ X.entries)
+        R = np.linalg.qr(P1, mode="r") / np.sqrt(700)
+        np.testing.assert_allclose(R.T @ R, P1.T @ P1 / 700, rtol=0, atol=1e-12)
+        Z = randgen.stream(5, 1, 0, 0).standard_normal((700, 12))
+        P2 = act.evaluate(Z @ R)
         K2t = hk.ck_linear_equivalent(X, hk.ck_alphas([act] * 2), 2)
         want = np.linalg.norm(P2.T @ P2 / 700 - K2t, 2) / np.linalg.norm(K2t, 2)
-        assert gap == pytest.approx(want, rel=1e-10)
+        assert gap == pytest.approx(want, rel=1e-12)
+        row = (tmp_path / "ck_depth.csv").read_text().splitlines()[-1].split(",")
+        assert row[2] == "empirical_ck_gap" and row[3] == f"{want:.9g}"
+
+    def test_ck_second_layer_has_the_law_of_a_direct_draw(self):
+        # n = p = 6, width 24: the mean empirical CK and the mean gap of the
+        # sampled second layer against those of direct W2 draws, over 4000 seeds
+        n, width, draws = 6, 24, 4000
+        act = hk.normalize_activation(rf_nn.get_activation("tanh"))
+        X = randgen.sphere_dataset(n, n, 3)
+        P1 = act.evaluate(randgen.stream(3, 0, 0, 0).standard_normal((width, n))
+                          @ X.entries)
+        K2t = hk.ck_linear_equivalent(X, hk.ck_alphas([act] * 2), 2)
+        sampled, direct = np.empty((draws, n, n)), np.empty((draws, n, n))
+        for seed in range(draws):
+            P2 = act.evaluate(cli._second_layer(P1, randgen.stream(seed, 1, 0, 0)))
+            sampled[seed] = P2.T @ P2 / width
+            W2 = randgen.stream(seed, 2, 0, 0).standard_normal((width, width))
+            P2 = act.evaluate(W2 / np.sqrt(width) @ P1)
+            direct[seed] = P2.T @ P2 / width
+
+        def gaps(K):
+            return np.abs(np.linalg.eigvalsh(K - K2t)).max(axis=1)
+
+        upper = np.triu_indices(n)
+        for a, b in ((sampled[:, upper[0], upper[1]], direct[:, upper[0], upper[1]]),
+                     (gaps(sampled), gaps(direct))):
+            se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / draws)
+            z = (a.mean(axis=0) - b.mean(axis=0)) / se
+            assert np.abs(z).max() <= 4.0, z
+
+    def test_ck_depth_width_below_n(self, tmp_path):
+        path = write_config(tmp_path,
+                            "seed = 1\nlayers = 2\nn = 24\np = 24\nwidth = 8\n")
+        assert cli.main(["ck-depth", "--config", path, "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "ck_depth.csv").read_text().splitlines()[-1].split(",")
+        assert row[2] == "empirical_ck_gap" and np.isfinite(float(row[3]))
 
     def test_ck_depth_holds_one_weight_block(self, tmp_path):
         params = {"seed": 5, "layers": 2, "n": 16, "p": 16, "width": 1024}

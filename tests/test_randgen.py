@@ -84,6 +84,18 @@ class TestStream:
         assert np.array_equal(a, randgen.stream(5, 2, 3, 4).standard_normal(8))
 
 
+class TestLaguerreBidiagonal:
+    def test_draws_a_then_s(self):
+        a, s = randgen.laguerre_bidiagonal(np.random.default_rng(3), 4, 6)
+        rng = np.random.default_rng(3)
+        assert np.array_equal(a, np.sqrt(rng.chisquare([6, 5, 4, 3])))
+        assert np.array_equal(s, np.sqrt(rng.chisquare([3, 2, 1])))
+
+    def test_order_one_has_no_subdiagonal(self):
+        a, s = randgen.laguerre_bidiagonal(np.random.default_rng(3), 1, 5)
+        assert a.shape == (1,) and s.shape == (0,)
+
+
 class TestRademacherMatrix:
     def test_support(self):
         X = randgen.rademacher_matrix(64, 64, 0)
