@@ -263,6 +263,11 @@ def _run_ridge_sweep(params, out):
     return max(devs) if devs else float("nan")
 
 
+# stream roles of rf-sweep (``randgen.stream(seed, role, 0, trial)``): the data,
+# truth and noise are drawn at trial 0, the weights of trial t at trial t
+RF_TRAIN, RF_TEST, RF_TRUTH, RF_NOISE, RF_WEIGHTS = range(5)
+
+
 def _rf_data(params):
     n, p, n_test = params["n"], params["p"], params["n_test"]
     if params["dataset"]:
@@ -286,47 +291,58 @@ def _rf_data(params):
         Xte = DataMatrix(X_all.entries[:, n:n + n_test], dict(X_all.meta))
         return Xtr, y_all[:n], Xte, y_all[n:n + n_test]
     seed = params["seed"]
-    Xtr = sphere_dataset(p, n, seed)
-    Xte = sphere_dataset(p, n_test, seed + 1)
-    rng = np.random.default_rng(seed + 2)
-    bstar = rng.standard_normal(p)
+    Xtr = sphere_dataset(p, n, stream(seed, RF_TRAIN, 0, 0))
+    Xte = sphere_dataset(p, n_test, stream(seed, RF_TEST, 0, 0))
+    bstar = stream(seed, RF_TRUTH, 0, 0).standard_normal(p)
     bstar /= np.linalg.norm(bstar)
     ytr = Xtr.entries.T @ bstar
     yte = Xte.entries.T @ bstar
     if params["sigma2"] > 0:
-        noise = np.random.default_rng(seed + 3)
+        noise = stream(seed, RF_NOISE, 0, 0)
         ytr = ytr + noise.normal(0, np.sqrt(params["sigma2"]), n)
         yte = yte + noise.normal(0, np.sqrt(params["sigma2"]), n_test)
     return Xtr, ytr, Xte, yte
 
 
 def _run_rf_sweep(params, out):
+    """Trial t draws one weight matrix W of the largest width from
+    ``stream(seed, RF_WEIGHTS, 0, t)``; width d uses its leading d rows, which
+    have the law of a fresh d x p draw. So the trials of a row are independent,
+    and the rows of one trial share their weights (common random numbers)."""
     act = rf_nn.get_activation(params["activation"])
     Xtr, ytr, Xte, yte = _rf_data(params)
     n = ytr.size
-    kernels = rf_nn.kernel_triplet(Xtr, Xte, act)
     gamma, trials = params["gamma"], params["trials"]
-    rows = []
-    for i, dn in enumerate(params["d_over_n"]):
-        d = max(1, int(round(dn * n)))
-        status = "ok"
+    widths = [max(1, int(round(dn * n))) for dn in params["d_over_n"]]
+    # every width's theory on one eigendecomposition of the train kernel; the
+    # kernels and the eigenvectors are freed before the trials, so that they do
+    # not add to the trials' peak memory
+    kernels = rf_nn.kernel_triplet(Xtr, Xte, act)
+    theory = []
+    for d in widths:
         try:
-            th_train, th_test = rf_nn.nn_mse_theory(kernels, ytr, yte, n, d, gamma)
+            theory.append((*rf_nn.nn_mse_theory(kernels, ytr, yte, n, d, gamma), "ok"))
         except NearPhaseTransitionError:
-            th_train = th_test = float("nan")
-            status = "near-phase-transition"
-        emp_tr, emp_te = np.empty(trials), np.empty(trials)
-        for t in range(trials):
-            rng = np.random.default_rng(params["seed"] + 100_003 * i + t)
-            W = rng.standard_normal((d, Xtr.p))
-            feats = rf_nn.rf_features(W, Xtr, act)
-            beta = rf_nn.rf_fit(feats, ytr, gamma)
-            emp_tr[t] = rf_nn.rf_empirical_mse(beta, feats, ytr)
-            emp_te[t] = rf_nn.rf_empirical_mse(
-                beta, rf_nn.rf_features(W, Xte, act), yte)
-        rows += [ResultRow.from_trials(dn, gamma, metric, vals, th, status)
-                 for metric, vals, th in (("train_mse", emp_tr, th_train),
-                                          ("test_mse", emp_te, th_test))]
+            theory.append((float("nan"), float("nan"), "near-phase-transition"))
+    del kernels
+    emp_tr, emp_te = np.empty((2, len(widths), trials))
+    for t in range(trials):
+        W = stream(params["seed"], RF_WEIGHTS, 0, t).standard_normal(
+            (max(widths), Xtr.p))
+        # the train features are freed before the test features are formed, so
+        # that only one feature map is resident at a time
+        feats = rf_nn.rf_features(W, Xtr, act)
+        betas = [rf_nn.rf_fit(feats[:d], ytr, gamma) for d in widths]
+        emp_tr[:, t] = [rf_nn.rf_empirical_mse(beta, feats[:d], ytr)
+                        for d, beta in zip(widths, betas)]
+        del feats
+        feats = rf_nn.rf_features(W, Xte, act)
+        emp_te[:, t] = [rf_nn.rf_empirical_mse(beta, feats[:d], yte)
+                        for d, beta in zip(widths, betas)]
+    rows = [ResultRow.from_trials(dn, gamma, metric, vals, th, status)
+            for dn, (th_tr, th_te, status), tr, te
+            in zip(params["d_over_n"], theory, emp_tr, emp_te)
+            for metric, vals, th in (("train_mse", tr, th_tr), ("test_mse", te, th_te))]
     write_rows(os.path.join(out, "rf_sweep.csv"), rows)
     devs = [abs(r.empirical_mean - r.theory) / abs(r.theory)
             for r in rows if r.status == "ok" and r.theory]

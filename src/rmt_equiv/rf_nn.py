@@ -7,6 +7,7 @@ ridgeless theta fixed point with eigendecay scaling laws.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,14 @@ class KernelTriplet:
     k_train: np.ndarray
     k_cross: np.ndarray
     k_test: np.ndarray
+
+    @cached_property
+    def eigenbasis(self):
+        """(lam, U, U^T k_cross): the eigenvalues of ``k_train`` clipped at 0, its
+        eigenvectors and the cross block in their basis. Computed on first use
+        and shared by every ``nn_mse_theory`` call on this triplet."""
+        lam, U = np.linalg.eigh(np.asarray(self.k_train, dtype=float))
+        return np.clip(lam, 0.0, None), U, U.T @ np.asarray(self.k_cross, dtype=float)
 
 
 @dataclass
@@ -182,16 +191,15 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma, tol=1e-13):
                 + y^T Q~K~Q~ y / (d - tr(K~Q~K~Q~))
                   * (1/n') [ tr K~_xx - tr( K~_x^T Q~ (I + gamma Q~) K~_x ) ]
 
-    through the eigendecomposition of the train block. Raises
-    NearPhaseTransitionError if the shared denominator is not positive.
+    in the eigenbasis of the train block, ``kernels.eigenbasis``, which calls
+    at several widths share. Raises NearPhaseTransitionError if the shared
+    denominator is not positive.
     """
-    K = np.asarray(kernels.k_train, dtype=float)
     y = np.asarray(y, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
-    if K.shape[0] != y.size or kernels.k_test.shape[0] != y_test.size:
+    if len(kernels.k_train) != y.size or len(kernels.k_test) != y_test.size:
         raise ValueError("kernel blocks inconsistent with target lengths")
-    lam, U = np.linalg.eigh(K)
-    lam = np.clip(lam, 0.0, None)
+    lam, U, Ukx = kernels.eigenbasis
     de = nonlinear_de_delta(lam, n, d, gamma, tol)
     scale = de.k_tilde_scale
     kt = scale * lam                       # eigenvalues of K~
@@ -210,12 +218,10 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma, tol=1e-13):
     e_train = gamma**2 / n * ((tr_QKQ / denom) * yQKQy + yQ2y)
 
     n_test = y_test.size
-    Kx = scale * np.asarray(kernels.k_cross, dtype=float)
-    Kxx = scale * np.asarray(kernels.k_test, dtype=float)
-    Qy = U @ (qt * yU)
-    fit_resid = y_test - Kx.T @ Qy
-    QKx = U @ ((qt * (1.0 + gamma * qt))[:, None] * (U.T @ Kx))
-    trace_term = float(np.trace(Kxx)) - float(np.sum(Kx * QKx))
+    fit_resid = y_test - scale * (Ukx.T @ (qt * yU))
+    # tr K~_x^T Q~ (I + gamma Q~) K~_x, with K~_x = scale U Ukx
+    trace_term = scale * float(np.trace(kernels.k_test)) - scale**2 * float(
+        np.sum(qt * (1.0 + gamma * qt) * np.einsum("ij,ij->i", Ukx, Ukx)))
     e_test = float(fit_resid @ fit_resid) / n_test + (yQKQy / denom) * trace_term / n_test
     return e_train, e_test
 

@@ -156,6 +156,15 @@ VALUES = st.one_of(
 )
 
 
+# experiments whose generators are all keyed by the run's seed; kernel-lin and
+# dynamics still draw from seed + k, and join this list once their streams are
+# keyed too
+KEYED_STREAMS = ["mp", "tanh-demo", "ridge-sweep", "rf-sweep", "ck-depth"]
+# rf-sweep at toy size with noise, three widths out of order and three trials
+RF_TOY = {**cli.EXPERIMENTS["rf-sweep"].defaults, "seed": 3, "n": 24, "p": 8,
+          "n_test": 16, "sigma2": 0.05, "trials": 3, "d_over_n": [0.5, 2.0, 1.25]}
+
+
 class TestRunExperiments:
     @pytest.mark.parametrize("experiment", list(TOY))
     def test_toy_configs_run(self, tmp_path, experiment):
@@ -178,6 +187,27 @@ class TestRunExperiments:
             rc = cli.main([experiment, "--config", path, "--out", tmp])
         assert rc in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("experiment", KEYED_STREAMS)
+    def test_every_generator_has_its_own_key(self, tmp_path, monkeypatch, experiment):
+        """Every generator a run creates has the run's seed as its entropy, and
+        no two share a spawn key. A stream seeded with seed + k, which a run at
+        another seed replays, fails here."""
+        keys, default_rng = [], np.random.default_rng
+
+        def recording(seed=None):
+            rng = default_rng(seed)
+            if not isinstance(seed, np.random.Generator):  # returned as it is
+                seq = rng.bit_generator.seed_seq
+                keys.append((seq.entropy, seq.spawn_key))
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        monkeypatch.delenv("RMT_EQUIV_SEED", raising=False)
+        path = write_config(tmp_path, config_text({"seed": 5, **TOY[experiment]}))
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
+        assert keys and {entropy for entropy, _ in keys} == {5}, keys
+        assert len(set(keys)) == len(keys), sorted(keys)
 
     def test_library_imports_numpy_only(self, tmp_path):
         """A fresh interpreter runs a toy ``mp`` (so ``mp_cdf`` runs) without scipy."""
@@ -321,6 +351,14 @@ class TestRunExperiments:
                                      "_second_layer", "ck-depth",
                                      "seed = 1\nlayers = 2\nn = 8\np = 8\nwidth = 16\n")
 
+    def test_failed_rf_weight_allocation_exit_3(self, tmp_path, capsys, monkeypatch):
+        # on a dataset, the weight draw is the only stream rf-sweep opens
+        data = write_dataset(tmp_path, 30)
+        self.check_failed_allocation(tmp_path, capsys, monkeypatch, cli, "stream",
+                                     "rf-sweep",
+                                     "seed = 2\nn = 16\np = 6\nn_test = 8\n"
+                                     f"d_over_n = 0.5, 2\ngamma = 0.5\ndataset = {data}\n")
+
     @staticmethod
     def check_failed_allocation(tmp_path, capsys, monkeypatch, module, target,
                                 experiment, text):
@@ -419,6 +457,54 @@ class TestRunExperiments:
                          "--out", str(tmp_path)]) == 0
         text = (tmp_path / "ridge_sweep.csv").read_text()
         assert "theory-only" in text
+
+    def test_rf_sweep_rows_fit_the_leading_rows_of_one_weight_draw(self, tmp_path):
+        cli._run_rf_sweep(RF_TOY, str(tmp_path))
+        rows = [row.split(",") for row in
+                (tmp_path / "rf_sweep.csv").read_text().splitlines()[1:]]
+        got = {(row[0], row[2]): float(row[3]) for row in rows}
+        assert len(got) == 6
+        # the data, truth, noise and weights, each drawn again from its stream
+        seed, n, p, n_test, gamma = 3, 24, 8, 16, RF_TOY["gamma"]
+        act = rf_nn.get_activation("relu")
+        Xtr = randgen.sphere_dataset(p, n, randgen.stream(seed, cli.RF_TRAIN, 0, 0))
+        Xte = randgen.sphere_dataset(p, n_test, randgen.stream(seed, cli.RF_TEST, 0, 0))
+        b = randgen.stream(seed, cli.RF_TRUTH, 0, 0).standard_normal(p)
+        b /= np.linalg.norm(b)
+        noise = randgen.stream(seed, cli.RF_NOISE, 0, 0)
+        ytr = Xtr.entries.T @ b + noise.normal(0, np.sqrt(0.05), n)
+        yte = Xte.entries.T @ b + noise.normal(0, np.sqrt(0.05), n_test)
+        for dn in RF_TOY["d_over_n"]:
+            d = round(dn * n)
+            train, test = [], []
+            for t in range(3):
+                W = randgen.stream(seed, cli.RF_WEIGHTS, 0, t).standard_normal(
+                    (2 * n, p))[:d]
+                feats = rf_nn.rf_features(W, Xtr, act)
+                beta = rf_nn.rf_fit(feats, ytr, gamma)
+                train.append(rf_nn.rf_empirical_mse(beta, feats, ytr))
+                test.append(rf_nn.rf_empirical_mse(beta, rf_nn.rf_features(W, Xte, act),
+                                                   yte))
+            assert got[f"{dn:.9g}", "train_mse"] == pytest.approx(np.mean(train),
+                                                                  rel=1e-8)
+            assert got[f"{dn:.9g}", "test_mse"] == pytest.approx(np.mean(test), rel=1e-8)
+
+    def test_rf_sweep_permuted_widths_give_the_same_rows(self, tmp_path):
+        # rows are written sorted by ratio, so permuted rows are the same file
+        for name, order in (("a", [0, 1, 2]), ("b", [2, 0, 1])):
+            params = {**RF_TOY, "d_over_n": [RF_TOY["d_over_n"][i] for i in order]}
+            os.makedirs(tmp_path / name)
+            cli._run_rf_sweep(params, str(tmp_path / name))
+        assert (tmp_path / "a" / "rf_sweep.csv").read_bytes() == \
+            (tmp_path / "b" / "rf_sweep.csv").read_bytes()
+
+    def test_rf_sweep_reproducible_bytes(self, tmp_path):
+        path = write_config(tmp_path, config_text(RF_TOY))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(out1)]) == 0
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(out2)]) == 0
+        assert (out1 / "rf_sweep.csv").read_bytes() == \
+            (out2 / "rf_sweep.csv").read_bytes()
 
     def test_rf_sweep_small(self, tmp_path):
         path = write_config(

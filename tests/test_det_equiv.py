@@ -103,22 +103,17 @@ class TestMPDensity:
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 2.0])
-    def test_cdf_equals_scipy_trapezoid(self, c):
-        # oracle: mp_cdf's bulk built on its own grid with scipy's cumulative_trapezoid
+    def test_cdf_equals_quadrature_of_the_density(self, c):
+        # oracle: scipy's adaptive quadrature of mp_density from the lower edge,
+        # at 40 bulk points; c = 1 puts the 1/sqrt(x) hard edge at 0
         params = det_equiv.MPParams.from_ratio(c)
-        xs = np.linspace(*params.edges, det_equiv.MP_CDF_GRID)
-        dens = np.zeros_like(xs)
-        dens[xs > 0] = det_equiv.mp_density(c, xs[xs > 0])
-        bulk = integrate.cumulative_trapezoid(dens, xs, initial=0.0)
-        assert np.array_equal(det_equiv._cumulative_trapezoid(dens, xs), bulk)
-        bulk *= (1.0 - params.atom) / bulk[-1]
-        assert np.array_equal(det_equiv.mp_cdf(c)(xs), bulk + params.atom)
-
-    def test_trapezoid_equals_scipy_on_nonuniform_grid(self):
-        x = np.cumsum(np.random.default_rng(3).exponential(size=257))
-        y = np.sin(x) / x
-        assert np.array_equal(det_equiv._cumulative_trapezoid(y, x),
-                              integrate.cumulative_trapezoid(y, x, initial=0.0))
+        lo, hi = params.edges
+        xs = np.linspace(lo, hi, 42)[1:-1]
+        want = [params.atom + integrate.quad(lambda t: det_equiv.mp_density(c, t),
+                                             lo, x, limit=200)[0] for x in xs]
+        np.testing.assert_allclose(det_equiv.mp_cdf(c)(xs), want, rtol=0, atol=1e-9)
+        assert det_equiv.mp_cdf(c)([lo - 1.0, -1e-12, lo, hi, hi + 1.0]).tolist() == \
+            [0.0, 0.0, params.atom, 1.0, 1.0]
 
 
 class TestSolveDeltaSCM:

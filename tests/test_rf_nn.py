@@ -258,6 +258,32 @@ class TestNnMseTheory:
         assert np.mean(tr) == pytest.approx(th_train, rel=0.1)
         assert np.mean(te) == pytest.approx(th_test, rel=0.1)
 
+    def test_widths_share_one_eigendecomposition(self, monkeypatch):
+        # oracle: the docstring's formulas with dense K~, Q~ at each width
+        X, Xt, y, yt = self._setup(3)
+        kernels = rf_nn.kernel_triplet(X, Xt, rf_nn.get_activation("relu"))
+        n, gamma = y.size, 0.2
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+        got = [rf_nn.nn_mse_theory(kernels, y, yt, n, d, gamma) for d in (12, 48, 96)]
+        monkeypatch.undo()
+        assert len(calls) == 1
+        for d, (e_train, e_test) in zip((12, 48, 96), got):
+            lam = np.clip(np.linalg.eigvalsh(kernels.k_train), 0.0, None)
+            scale = rf_nn.nonlinear_de_delta(lam, n, d, gamma).k_tilde_scale
+            Kt, Kx, Kxx = (scale * K for K in (kernels.k_train, kernels.k_cross,
+                                              kernels.k_test))
+            Q = np.linalg.inv(Kt + gamma * np.eye(n))
+            denom = d - np.trace(Kt @ Q @ Kt @ Q)
+            want_train = gamma**2 / n * y @ Q @ (
+                np.trace(Q @ Kt @ Q) / denom * Kt + np.eye(n)) @ Q @ y
+            resid = yt - Kx.T @ Q @ y
+            want_test = (resid @ resid + (y @ Q @ Kt @ Q @ y / denom) * (
+                np.trace(Kxx) - np.trace(Kx.T @ Q @ (np.eye(n) + gamma * Q) @ Kx))
+                ) / yt.size
+            assert e_train == pytest.approx(want_train, rel=1e-9)
+            assert e_test == pytest.approx(want_test, rel=1e-9)
+
     def test_double_descent_singularity_location(self):
         # theoretical test error at gamma = 1e-5 has an interior max near d = n
         X, Xt, y, yt = self._setup(2, n=64, p=32, n_test=64)
