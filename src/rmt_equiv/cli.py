@@ -32,8 +32,7 @@ from .randgen import NORMALIZATIONS, DataMatrix, ingest_dataset, laguerre_bidiag
 from .results import ResultRow, write_csv, write_rows
 from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
     sweep_double_descent
-from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, measure_to_rows, \
-    symmetric_norm
+from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, symmetric_norm
 
 
 @dataclass
@@ -194,10 +193,10 @@ def _run_mp(params, out):
         lam = _mp_eigenvalues(p, n, stream(params["seed"], 0, i, 0))
         mp = MPParams.from_ratio(p / n)
         hi = mp.edges[1] * 1.05
-        hist = esd_histogram(lam, params["bins"], (0.0, hi))
+        edges, masses = esd_histogram(lam, params["bins"], (0.0, hi))
         tag = f"{c:g}".replace(".", "p")
         write_csv(os.path.join(out, f"mp_hist_c{tag}.csv"),
-                  "bin_left,bin_right,mass", measure_to_rows(hist))
+                  "bin_left,bin_right,mass", zip(edges, edges[1:], masses))
         grid = np.linspace(max(mp.edges[0], 1e-4), mp.edges[1], 400)
         dens = mp_density(p / n, grid)
         write_csv(os.path.join(out, f"mp_density_c{tag}.csv"), "x,density",
@@ -220,8 +219,8 @@ def _run_tanh_demo(params, out):
     hist_rows = []
     for regime, samples, rng_hi in (("lln", f_lln, 3.0 / np.sqrt(n)),
                                     ("clt", f_clt, 3.0)):
-        hist = esd_histogram(samples, params["bins"], (-rng_hi, rng_hi))
-        hist_rows += [(regime, *row) for row in measure_to_rows(hist)]
+        edges, masses = esd_histogram(samples, params["bins"], (-rng_hi, rng_hi))
+        hist_rows += [(regime, *row) for row in zip(edges, edges[1:], masses)]
     write_csv(os.path.join(out, "tanh_demo_hist.csv"),
               "regime,bin_left,bin_right,mass", hist_rows)
     grid = np.linspace(-3.0, 3.0, 241)
@@ -355,8 +354,8 @@ def _run_kernel_lin(params, out):
     hk.write_coeff_table(os.path.join(out, "activation_coeffs.csv"),
                          [(act.name, coeffs)])
     rows = []
-    for size in params["sizes"]:
-        X = sphere_dataset(size, size, params["seed"] + size)
+    for i, size in enumerate(params["sizes"]):
+        X = sphere_dataset(size, size, stream(params["seed"], 0, i, 0))
         K = rf_nn.kernel_expectation(X, X, act)
         Kt = hk.linear_equivalent_kernel(X, coeffs)
         gap = symmetric_norm(K - Kt) / symmetric_norm(Kt)
@@ -399,26 +398,22 @@ def _run_ck_depth(params, out):
 
 
 def _run_dynamics(params, out):
-    d, n, eta = params["d"], params["n"], params["eta"]
+    d, n, eta, times = params["d"], params["n"], params["eta"], params["times"]
     X = sphere_dataset(max(d // 2, 2), n, params["seed"])
-    rng = np.random.default_rng(params["seed"] + 1)
-    W = rng.standard_normal((d, X.p))
-    feats = rf_nn.rf_features(W, X, rf_nn.get_activation("tanh"))
-    y = rng.standard_normal(n)
-    beta0 = rng.standard_normal(d) * 0.1
-    v = rng.standard_normal(d)
+    W, y, beta0, v = (stream(params["seed"], role, 0, 0).standard_normal(shape)
+                      for role, shape in enumerate([(d, X.p), n, d, d]))
+    beta0 *= 0.1
     v /= np.linalg.norm(v)
-    lam_max = float(np.linalg.eigvalsh(feats @ feats.T / n).max())
-    contour = dyn.default_flow_contour(lam_max, params["nodes"])
-    samples, devs = [], []
-    for t in params["times"]:
-        beta_t = dyn.gradient_flow_beta(feats, y, beta0, eta, t)
-        proj = float(v @ beta_t)
-        cproj = dyn.contour_beta_projection(v, feats, y, beta0, eta, t, contour)
-        samples.append(dyn.TrajectorySample(t=t, loss=dyn.flow_loss(feats, y, beta_t),
-                                            projection=proj))
-        devs.append(abs(proj - cproj))
-    dyn.write_trajectory(os.path.join(out, "flow_trajectory.csv"), samples)
+    feats = rf_nn.rf_features(W, X, rf_nn.get_activation("tanh"))
+    contour = dyn.default_flow_contour(dyn._flow_spectrum(feats, n)[1].max(),
+                                       params["nodes"])
+    betas = dyn.gradient_flow_beta(feats, y, beta0, eta, times)
+    projs = betas @ v
+    devs = np.abs(projs - dyn.contour_beta_projection(v, feats, y, beta0, eta, times,
+                                                      contour))
+    dyn.write_trajectory(os.path.join(out, "flow_trajectory.csv"),
+                         [dyn.TrajectorySample(t, dyn.flow_loss(feats, y, beta), proj)
+                          for t, beta, proj in zip(times, betas, projs)])
     # NTK trajectory on the depth-2 linearized kernel of the same data
     act = hk.normalize_activation(rf_nn.get_activation("tanh"))
     coeffs = hk.hermite_coeffs(act)
@@ -435,11 +430,11 @@ def _run_dynamics(params, out):
         cks.append(K_l)
         prev = K_l
     k_ntk = hk.ntk_recursion(cks, ckps, gram0)
-    traj = dyn.ntk_trajectory(k_ntk, y, np.zeros(n), eta, params["times"])
+    traj = dyn.ntk_trajectory(k_ntk, y, np.zeros(n), eta, times)
     dyn.write_trajectory(os.path.join(out, "ntk_trajectory.csv"), traj)
-    rows = [_row(t, "contour_vs_direct", dv) for t, dv in zip(params["times"], devs)]
+    rows = [_row(t, "contour_vs_direct", dv) for t, dv in zip(times, devs)]
     write_rows(os.path.join(out, "dynamics_summary.csv"), rows)
-    return max(devs)
+    return float(devs.max())
 
 
 EXPERIMENTS = {

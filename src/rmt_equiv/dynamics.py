@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
 from .results import write_csv
-from .spectral import CONTOUR_MARGIN, ContourSpec, check_contour, circle_nodes, \
+from .spectral import CONTOUR_MARGIN, ContourSpec, check_contour, circle_nodes, eigh, \
     rank_tolerance, resolvent_forms
 
 #: exp(-eta t lambda_min) below e^-50 is saturated numerically
@@ -45,29 +45,34 @@ class TrajectorySample:
 
 
 def _flow_spectrum(features, n):
+    """S = Phi Phi^T / n with its ascending eigenvalues and eigenvectors; raises
+    RankDeficiencyError unless S has full rank."""
     S = features @ features.T / n
     lam, U = np.linalg.eigh(S)
     if lam.min() <= rank_tolerance(lam, S.shape[0]):
         raise RankDeficiencyError(
-            "Phi Phi^T / n is singular; gradient_flow_beta needs full row rank "
+            "Phi Phi^T / n is singular; the gradient flow needs full row rank "
             "(d <= n with generic features)"
         )
-    return lam, U
+    return S, lam, U
 
 
 def gradient_flow_beta(features, y, beta0, eta, t):
-    """beta(t) of the gradient flow on the ridgeless random-feature loss."""
-    if eta <= 0 or t < 0:
+    """beta(t) of the gradient flow on the ridgeless random-feature loss.
+
+    ``t`` is a time or an array of times; an array gives one beta per row."""
+    t = np.asarray(t, dtype=float)
+    if eta <= 0 or np.any(t < 0):
         raise ValueError("need eta > 0 and t >= 0")
     Phi = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     n = y.size
-    lam, U = _flow_spectrum(Phi, n)
-    decay = np.exp(-eta * t * lam)
+    _, lam, U = _flow_spectrum(Phi, n)
+    decay = np.exp(-eta * t[..., None] * lam)
     target = Phi @ y / n
-    # beta(t) = U diag(e^{-eta t lam}) U^T beta0 + U diag((1-e^{-eta t lam})/lam) U^T target
-    return U @ (decay * (U.T @ beta0)) + U @ ((1.0 - decay) / lam * (U.T @ target))
+    # beta(t) = U [diag(e^{-eta t lam}) U^T beta0 + diag((1-e^{-eta t lam})/lam) U^T target]
+    return (decay * (U.T @ beta0) + (1.0 - decay) / lam * (U.T @ target)) @ U.T
 
 
 def flow_loss(features, y, beta):
@@ -78,12 +83,9 @@ def flow_loss(features, y, beta):
 
 def ntk_trajectory(k_ntk, y, yhat0, eta, times):
     """NTK-regime output trajectory yhat(t) = e^{-eta t K} yhat0 + (I - e^{-eta t K}) y."""
-    K = np.asarray(k_ntk, dtype=float)
-    if not np.allclose(K, K.T, atol=1e-10 * max(1.0, np.abs(K).max()), rtol=0.0):
-        raise ValueError("NTK matrix must be symmetric")
     y = np.asarray(y, dtype=float)
     yhat0 = np.asarray(yhat0, dtype=float)
-    lam, U = np.linalg.eigh(K)
+    lam, U = eigh(k_ntk)
     if lam.min() < -1e-8 * max(1.0, lam.max()):
         raise ValueError("NTK matrix must be positive semidefinite")
     out = []
@@ -107,56 +109,60 @@ def default_flow_contour(lam_max, nodes=512) -> ContourSpec:
 def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec):
     """v^T beta(t) by contour integration of the resolvent of Phi Phi^T / n.
 
-    The contour must enclose the full spectrum with the standard clearance.
-    Times beyond the numerical saturation point 50/(eta lambda_min) are capped
-    (the trajectory is converged there to machine precision anyway).
+    ``t`` is a time or an array of times; the resolvent is solved once at each
+    node and shared by every time. The contour must enclose the full spectrum
+    with the standard clearance. Times beyond the numerical saturation point
+    50/(eta lambda_min) are capped (the trajectory is converged there to
+    machine precision anyway).
 
     exp(-eta t z) grows on the part of the circle left of the origin, so at
     long times the quadrature sums large terms that must cancel. The sum's
     rounding bound eps sum_k |g_k dz_k| / N is compared with the a priori size
     ||v|| (||beta0|| + min(eta t, 1/lambda_min) ||Phi y / n||) of the
-    projection; past ``QUADRATURE_ROUNDING_TOL`` of it, DomainError is raised.
+    projection; past ``QUADRATURE_ROUNDING_TOL`` of it, DomainError is raised,
+    naming the first such time.
     """
     Phi = np.asarray(features, dtype=float)
     y = np.asarray(y, dtype=float)
     v = np.asarray(v, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
     n = y.size
-    S = Phi @ Phi.T / n
-    lam = np.linalg.eigvalsh(S)
-    if lam.min() <= rank_tolerance(lam, S.shape[0]):
-        raise RankDeficiencyError("contour projection needs a full-rank flow matrix")
-    inside = check_contour(lam, contour)
-    if not inside.all():
+    S, lam, _ = _flow_spectrum(Phi, n)
+    if not check_contour(lam, contour).all():
         raise ValueError("contour must enclose all eigenvalues of Phi Phi^T / n")
 
+    t = np.asarray(t, dtype=float)
     t_cap = TIME_SATURATION / (eta * lam.min())
-    if t > t_cap:
+    for t_k in t[t > t_cap]:
         warnings.warn(
-            f"flow time {t:g} saturated to {t_cap:g} (matrix-exponential "
+            f"flow time {t_k:g} saturated to {t_cap:g} (matrix-exponential "
             "quadrature limit)",
             RuntimeWarning,
         )
-        t = t_cap
+    t = np.minimum(t, t_cap)
 
     zs, dz_factors = circle_nodes(contour)
     target = Phi @ y / n
     forms = resolvent_forms(S, v, np.stack([beta0, target], axis=1), zs)
+    etz = eta * t[..., None] * zs
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.exp(-eta * t * zs) * forms[:, 0] - np.expm1(-eta * t * zs) / zs * forms[:, 1]
+        g = np.exp(-etz) * forms[:, 0] - np.expm1(-etz) / zs * forms[:, 1]
         terms = g * dz_factors
-    val = -np.sum(terms) / contour.nodes
-    if abs(val.imag) > 1e-7 * max(1.0, abs(val.real)):
-        raise ArithmeticError(
-            f"non-real contour projection at t={t:g} (Im={val.imag:.2e})")
-    bound = np.finfo(float).eps * np.sum(np.abs(terms)) / contour.nodes
+    val = -np.sum(terms, axis=-1) / contour.nodes
+    bound = np.finfo(float).eps * np.sum(np.abs(terms), axis=-1) / contour.nodes
     size = np.linalg.norm(v) * (np.linalg.norm(beta0)
-                                + min(eta * t, 1.0 / lam.min()) * np.linalg.norm(target))
-    if not bound <= QUADRATURE_ROUNDING_TOL * size:
-        raise DomainError(
-            f"contour projection at t={t:g} is not accurate: rounding bound "
-            f"{bound:.2e} exceeds {QUADRATURE_ROUNDING_TOL:g} of its size {size:.2e}")
-    return float(val.real)
+                                + np.minimum(eta * t, 1.0 / lam.min())
+                                * np.linalg.norm(target))
+    for t_k, val_k, bound_k, size_k in zip(*np.atleast_1d(t, val, bound, size)):
+        if abs(val_k.imag) > 1e-7 * max(1.0, abs(val_k.real)):
+            raise ArithmeticError(
+                f"non-real contour projection at t={t_k:g} (Im={val_k.imag:.2e})")
+        if not bound_k <= QUADRATURE_ROUNDING_TOL * size_k:
+            raise DomainError(
+                f"contour projection at t={t_k:g} is not accurate: rounding bound "
+                f"{bound_k:.2e} exceeds {QUADRATURE_ROUNDING_TOL:g} of its size "
+                f"{size_k:.2e}")
+    return val.real if t.ndim else float(val.real)
 
 
 def write_trajectory(path, samples):

@@ -15,8 +15,8 @@ from .errors import DatasetParseError, EmptyDatasetError
 class DataMatrix:
     """Real p x n matrix whose columns are samples, plus generation metadata.
 
-    meta carries a distribution tag, the seed, and a normalization tag
-    ('none', 'unit-sphere' or 'global-spectral').
+    meta carries a distribution tag and a normalization tag ('none',
+    'unit-sphere' or 'global-spectral').
     """
 
     entries: np.ndarray
@@ -93,8 +93,8 @@ def gaussian_matrix(rows, cols, variance, seed, out=None) -> DataMatrix:
     entries = np.random.default_rng(seed).standard_normal((rows, cols), out=out)
     if variance != 1:
         entries *= np.sqrt(variance)
-    return DataMatrix(entries, {"distribution": "gaussian", "seed": seed,
-                                "normalization": "none", "variance": variance})
+    return DataMatrix(entries, {"distribution": "gaussian", "normalization": "none",
+                                "variance": variance})
 
 
 def stream(seed, role, point, trial):
@@ -120,8 +120,7 @@ def rademacher_matrix(rows, cols, seed) -> DataMatrix:
     _check_dims(rows, cols)
     rng = np.random.default_rng(seed)
     entries = rng.integers(0, 2, size=(rows, cols)).astype(float) * 2.0 - 1.0
-    return DataMatrix(entries, {"distribution": "rademacher", "seed": seed,
-                                "normalization": "none"})
+    return DataMatrix(entries, {"distribution": "rademacher", "normalization": "none"})
 
 
 def sphere_dataset(p, n, seed) -> DataMatrix:
@@ -137,8 +136,7 @@ def sphere_dataset(p, n, seed) -> DataMatrix:
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((p, n))
     entries /= np.linalg.norm(entries, axis=0)
-    return DataMatrix(entries, {"distribution": "sphere", "seed": seed,
-                                "normalization": "unit-sphere"})
+    return DataMatrix(entries, {"distribution": "sphere", "normalization": "unit-sphere"})
 
 
 def linear_targets(X: DataMatrix, truth: GroundTruth, seed) -> np.ndarray:
@@ -227,6 +225,6 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
         y = np.array([-1.0 if lab == lo else 1.0 for lab in labels])
     else:
         y = np.ones(len(labels))
-    X = DataMatrix(entries, {"distribution": "file", "seed": None,
-                             "normalization": normalization, "path": str(path)})
+    X = DataMatrix(entries, {"distribution": "file", "normalization": normalization,
+                             "path": str(path)})
     return X.validate(), y

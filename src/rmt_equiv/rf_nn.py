@@ -101,7 +101,7 @@ def rf_fit(features, y, gamma):
     if not gamma > 0:
         raise ValueError("rf_fit requires gamma > 0 (ridgeless is a theory limit)")
     return solve_ridge(np.asarray(features, dtype=float), np.asarray(y, dtype=float),
-                       gamma)[0]
+                       gamma)
 
 
 def rf_empirical_mse(beta, features, y):

@@ -32,13 +32,6 @@ PEAK_RATIO_BAND = 0.02
 
 
 @dataclass
-class RidgeSolution:
-    beta: np.ndarray
-    gamma: float
-    solved_via: str  # 'primal' | 'dual' | 'pseudoinverse'
-
-
-@dataclass
 class RiskPair:
     r_in: float
     r_out: float
@@ -48,15 +41,15 @@ def solve_ridge(A, y, gamma):
     """(A A^T/n + gamma I)^{-1} A y / n for a p x n matrix A and gamma > 0.
 
     Solved through whichever of the equivalent p x p primal / n x n dual forms
-    is smaller. Returns (beta, 'primal' | 'dual').
+    is smaller.
     """
     p, n = A.shape
     G = A @ A.T if p <= n else A.T @ A
     G /= n
     G.flat[::G.shape[0] + 1] += gamma
     if p <= n:
-        return np.linalg.solve(G, A @ y / n), "primal"
-    return A @ np.linalg.solve(G, y) / n, "dual"
+        return np.linalg.solve(G, A @ y / n)
+    return A @ np.linalg.solve(G, y) / n
 
 
 def _certified_full_rank(G, size):
@@ -110,23 +103,22 @@ def min_norm_solve(A, y):
     return A @ (U @ ((U.T @ y) / lam))
 
 
-def ridge_fit(X: DataMatrix, y, gamma) -> RidgeSolution:
+def ridge_fit(X: DataMatrix, y, gamma):
     """beta = (XX^T/n + gamma I)^{-1} X y / n, or the min-norm LS solution at gamma = 0."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     y = np.asarray(y, dtype=float)
     if gamma == 0:
-        return RidgeSolution(min_norm_solve(X.entries, y), 0.0, "pseudoinverse")
-    beta, via = solve_ridge(X.entries, y, gamma)
-    return RidgeSolution(beta, float(gamma), via)
+        return min_norm_solve(X.entries, y)
+    return solve_ridge(X.entries, y, gamma)
 
 
-def empirical_risks(solution: RidgeSolution, truth: GroundTruth, X: DataMatrix) -> RiskPair:
-    """Realized risk pair of a fitted ridge solution on its drawn data:
+def empirical_risks(beta, truth: GroundTruth, X: DataMatrix) -> RiskPair:
+    """Realized risk pair of a fitted ridge beta on its drawn data:
     r_in = (1/n)||X^T(beta - beta_*)||^2 and r_out = ||beta - beta_*||^2."""
-    if solution.beta.shape != truth.beta_star.shape:
-        raise ValueError("solution and truth dimensions disagree")
-    diff = solution.beta - truth.beta_star
+    if beta.shape != truth.beta_star.shape:
+        raise ValueError("beta and truth dimensions disagree")
+    diff = beta - truth.beta_star
     resid = X.entries.T @ diff
     return RiskPair(r_in=float(resid @ resid) / X.n, r_out=float(diff @ diff))
 
@@ -284,8 +276,7 @@ def _direct_trials(spec: SweepSpec, n, point_index, buffer):
         try:
             X = gaussian_matrix(p, n, 1.0, base + t, draw)
             y = linear_targets(X, truth, base + t + 50_000_000)
-            sol = ridge_fit(X, y, 0.0)
-            risks = empirical_risks(sol, truth, X)
+            risks = empirical_risks(ridge_fit(X, y, 0.0), truth, X)
             r_in_vals[t], r_out_vals[t] = risks.r_in, risks.r_out
         except (np.linalg.LinAlgError, SingularityError, ConvergenceError):
             # recorded in the row status; never aborts the sweep

@@ -26,14 +26,6 @@ CONTOUR_MARGIN = 0.1
 
 
 @dataclass
-class SpectralDecomposition:
-    """Ascending eigenvalues with the matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass
 class ContourSpec:
     """Counterclockwise circle ``center + radius * exp(i theta)`` with quadrature nodes."""
 
@@ -49,22 +41,14 @@ class ContourSpec:
                 f"contour needs at least {MIN_CONTOUR_NODES} quadrature nodes")
 
 
-@dataclass
-class EmpiricalMeasure:
-    """Histogram measure: ascending bin edges and masses summing to one."""
-
-    edges: np.ndarray
-    masses: np.ndarray
-
-
-def eigh(S) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues ascending."""
+def eigh(S):
+    """(eigenvalues ascending, orthonormal eigenvector columns) of a symmetric
+    matrix, after checking its symmetry."""
     S = np.asarray(S, dtype=float)
     scale = np.abs(S).max() if S.size else 0.0
     if not np.allclose(S, S.T, atol=1e-10 * max(scale, 1.0), rtol=0.0):
         raise ValueError("matrix is not symmetric within 1e-10 relative")
-    lam, U = np.linalg.eigh(S)
-    return SpectralDecomposition(lam, U)
+    return np.linalg.eigh(S)
 
 
 def symmetric_norm(S):
@@ -80,8 +64,9 @@ def rank_tolerance(lam, size):
     return lam.max() * size * np.finfo(float).eps
 
 
-def esd_histogram(eigenvalues, bins, range_) -> EmpiricalMeasure:
-    """Normalized counting measure of eigenvalues on equal-width bins.
+def esd_histogram(eigenvalues, bins, range_):
+    """Normalized counting measure of eigenvalues on equal-width bins: the
+    ascending bin edges and the masses, which sum to one.
 
     Eigenvalues outside ``range_`` accumulate into the boundary bins. Bins are
     closed-left half-open, with the final bin closed on both ends.
@@ -97,15 +82,7 @@ def esd_histogram(eigenvalues, bins, range_) -> EmpiricalMeasure:
     edges = np.linspace(lo, hi, bins + 1)
     clipped = np.clip(eigenvalues, lo, hi)  # out-of-range mass -> boundary bins
     counts, _ = np.histogram(clipped, bins=edges)
-    return EmpiricalMeasure(edges, counts / eigenvalues.size)
-
-
-def measure_to_rows(measure: EmpiricalMeasure):
-    """Serialize an EmpiricalMeasure to (bin_left, bin_right, mass) rows."""
-    return [
-        (measure.edges[i], measure.edges[i + 1], measure.masses[i])
-        for i in range(len(measure.masses))
-    ]
+    return edges, counts / eigenvalues.size
 
 
 def resolvent(S, z):
@@ -159,9 +136,8 @@ def spectral_functional(S, f, a, b, indices):
     indices = np.asarray(list(indices), dtype=int)
     if indices.size == 0:
         raise ValueError("index set must be nonempty")
-    dec = eigh(S)
-    lam = dec.eigenvalues[indices]
-    U = dec.eigenvectors[:, indices]
+    lam, U = eigh(S)
+    lam, U = lam[indices], U[:, indices]
     av = np.asarray(a, dtype=float) @ U
     bv = U.T @ np.asarray(b, dtype=float)
     return float(np.sum(f(lam) * av * bv) / indices.size)

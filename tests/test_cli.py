@@ -156,10 +156,9 @@ VALUES = st.one_of(
 )
 
 
-# experiments whose generators are all keyed by the run's seed; kernel-lin and
-# dynamics still draw from seed + k, and join this list once their streams are
-# keyed too
-KEYED_STREAMS = ["mp", "tanh-demo", "ridge-sweep", "rf-sweep", "ck-depth"]
+# experiments whose generators are all keyed by the run's seed
+KEYED_STREAMS = ["mp", "tanh-demo", "ridge-sweep", "rf-sweep", "kernel-lin",
+                 "ck-depth", "dynamics"]
 # rf-sweep at toy size with noise, three widths out of order and three trials
 RF_TOY = {**cli.EXPERIMENTS["rf-sweep"].defaults, "seed": 3, "n": 24, "p": 8,
           "n_test": 16, "sigma2": 0.05, "trials": 3, "d_over_n": [0.5, 2.0, 1.25]}

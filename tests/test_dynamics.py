@@ -5,7 +5,7 @@ import pytest
 
 from rmt_equiv import dynamics as dyn
 from rmt_equiv import rf_nn
-from rmt_equiv.errors import RankDeficiencyError
+from rmt_equiv.errors import DomainError, RankDeficiencyError
 from rmt_equiv.randgen import sphere_dataset
 
 
@@ -151,6 +151,46 @@ class TestContourProjection:
             got = dyn.contour_beta_projection(v, feats, y, np.zeros(16), 1.0,
                                               1e9, contour)
         assert np.isfinite(got)
+
+
+class TestArrayOfTimes:
+    TIMES = np.array([0.0, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
+
+    def test_rows_match_scalar_calls(self):
+        feats, y, beta0 = make_flow_instance(seed=11)
+        lam = np.linalg.eigvalsh(feats @ feats.T / y.size)
+        contour = dyn.default_flow_contour(lam.max(), nodes=512)
+        v = np.random.default_rng(12).standard_normal(24)
+        betas = dyn.gradient_flow_beta(feats, y, beta0, 1.0, self.TIMES)
+        projs = dyn.contour_beta_projection(v, feats, y, beta0, 1.0, self.TIMES,
+                                            contour)
+        assert betas.shape == (7, 24) and projs.shape == (7,)
+        for t, beta, proj in zip(self.TIMES, betas, projs):
+            assert np.abs(beta - dyn.gradient_flow_beta(feats, y, beta0, 1.0, t)
+                          ).max() <= 1e-12
+            assert abs(proj - dyn.contour_beta_projection(v, feats, y, beta0, 1.0, t,
+                                                          contour)) <= 1e-12
+
+    def test_resolvent_solved_once_per_call(self, monkeypatch):
+        feats, y, beta0 = make_flow_instance(seed=11)
+        lam = np.linalg.eigvalsh(feats @ feats.T / y.size)
+        contour = dyn.default_flow_contour(lam.max(), nodes=128)
+        calls, forms = [], dyn.resolvent_forms
+        monkeypatch.setattr(dyn, "resolvent_forms",
+                            lambda *args: calls.append(1) or forms(*args))
+        dyn.contour_beta_projection(np.ones(24), feats, y, beta0, 1.0, self.TIMES,
+                                    contour)
+        assert len(calls) == 1
+
+    def test_first_failing_time_is_named(self):
+        # at these sizes t = 1000 and t = 16000 each fail alone; the error
+        # names the first
+        feats, y, beta0 = make_flow_instance(d=24, n=48, seed=13)
+        lam = np.linalg.eigvalsh(feats @ feats.T / y.size)
+        contour = dyn.default_flow_contour(lam.max(), nodes=512)
+        with pytest.raises(DomainError, match="at t=1000 is not accurate"):
+            dyn.contour_beta_projection(np.ones(24), feats, y, beta0, 1.0,
+                                        [0.0, 1000.0, 16000.0], contour)
 
 
 class TestTrajectoryCsv:

@@ -86,16 +86,15 @@ class TestRidgeFit:
         rng = np.random.default_rng(0)
         X = DataMatrix(rng.standard_normal((6, 9)) * 0.3)
         y = rng.standard_normal(9) * 0.3
-        sol = ridge.ridge_fit(X, y, 1e8)
-        assert np.linalg.norm(sol.beta) <= 1e-6
+        beta = ridge.ridge_fit(X, y, 1e8)
+        assert np.linalg.norm(beta) <= 1e-6
 
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(1)
         X = DataMatrix(rng.standard_normal((5, 12)))
         beta_star = rng.standard_normal(5)
-        sol = ridge.ridge_fit(X, X.entries.T @ beta_star, 0.0)
-        assert np.abs(sol.beta - beta_star).max() <= 1e-8
-        assert sol.solved_via == "pseudoinverse"
+        beta = ridge.ridge_fit(X, X.entries.T @ beta_star, 0.0)
+        assert np.abs(beta - beta_star).max() <= 1e-8
 
     def test_primal_dual_identical(self):
         rng = np.random.default_rng(2)
@@ -106,8 +105,8 @@ class TestRidgeFit:
         primal = np.linalg.solve(A @ A.T / n + gamma * np.eye(p), A @ y / n)
         dual = A @ np.linalg.solve(A.T @ A / n + gamma * np.eye(n), y) / n
         assert np.abs(primal - dual).max() <= 1e-10
-        sol = ridge.ridge_fit(DataMatrix(A), y, gamma)
-        assert np.abs(sol.beta - primal).max() <= 1e-10
+        beta = ridge.ridge_fit(DataMatrix(A), y, gamma)
+        assert np.abs(beta - primal).max() <= 1e-10
 
     @pytest.mark.parametrize("p, n", [(32, 64), (32, 16), (32, 32)])
     def test_ridgeless_matches_lstsq(self, monkeypatch, p, n):
@@ -121,7 +120,7 @@ class TestRidgeFit:
         A = rng.standard_normal((p, n))
         y = rng.standard_normal(n)
         want = np.linalg.lstsq(A.T, y, rcond=None)[0]
-        got = ridge.ridge_fit(DataMatrix(A), y, 0.0).beta
+        got = ridge.ridge_fit(DataMatrix(A), y, 0.0)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("p, n", [(32, 64), (32, 16)])
@@ -135,9 +134,8 @@ class TestRidgeFit:
         A[:, 1] = A[:, 0]
         y = rng.standard_normal(n)
         want = np.linalg.lstsq(A.T, y, rcond=None)[0]
-        sol = ridge.ridge_fit(DataMatrix(A), y, 0.0)
-        assert np.linalg.norm(sol.beta - want) <= 1e-10 * np.linalg.norm(want)
-        assert sol.solved_via == "pseudoinverse"
+        beta = ridge.ridge_fit(DataMatrix(A), y, 0.0)
+        assert np.linalg.norm(beta - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("p, n", [(32, 64), (64, 32), (4, 200), (200, 4)])
     @pytest.mark.parametrize("factor", [0.5, 2.0, 1e6])
@@ -187,26 +185,25 @@ class TestRidgeFit:
         A = rng.standard_normal((8, 14))
         y = rng.standard_normal(14)
         gamma = 0.2
-        sol = ridge.ridge_fit(DataMatrix(A), y, gamma)
+        beta = ridge.ridge_fit(DataMatrix(A), y, gamma)
 
         def loss(b):
             r = y - A.T @ b
             return r @ r / 14 + gamma * b @ b
 
-        base = loss(sol.beta)
+        base = loss(beta)
         for _ in range(10):
             direction = rng.standard_normal(8)
             direction /= np.linalg.norm(direction)
-            assert loss(sol.beta + 1e-3 * direction) >= base - 1e-12
-            assert loss(sol.beta - 1e-3 * direction) >= base - 1e-12
+            assert loss(beta + 1e-3 * direction) >= base - 1e-12
+            assert loss(beta - 1e-3 * direction) >= base - 1e-12
 
 
 class TestEmpiricalRisks:
     def test_perfect_solution(self):
         X = gaussian_matrix(4, 8, 1.0, 0)
         truth = GroundTruth(np.ones(4), 0.0)
-        sol = ridge.RidgeSolution(np.ones(4), 0.0, "pseudoinverse")
-        risks = ridge.empirical_risks(sol, truth, X)
+        risks = ridge.empirical_risks(np.ones(4), truth, X)
         assert risks.r_in == pytest.approx(0.0) and risks.r_out == pytest.approx(0.0)
 
     def test_unit_shift_out_of_sample(self):
@@ -214,16 +211,14 @@ class TestEmpiricalRisks:
         truth = GroundTruth(np.zeros(4), 0.0)
         beta = np.zeros(4)
         beta[0] = 1.0
-        sol = ridge.RidgeSolution(beta, 0.1, "primal")
-        assert ridge.empirical_risks(sol, truth, X).r_out == pytest.approx(1.0)
+        assert ridge.empirical_risks(beta, truth, X).r_out == pytest.approx(1.0)
 
     def test_dimension_mismatch_rejected(self):
         X = gaussian_matrix(4, 8, 1.0, 2)
         truth = GroundTruth(np.zeros(4), 0.0)
         for beta in (np.zeros(3), np.zeros(1)):  # (1,) would broadcast
             with pytest.raises(ValueError, match="dimensions disagree"):
-                ridge.empirical_risks(ridge.RidgeSolution(beta, 0.1, "primal"),
-                                      truth, X)
+                ridge.empirical_risks(beta, truth, X)
 
 
 class TestRiskTheory:
