@@ -52,13 +52,9 @@ def theta_bisect(k_eigs, d_over_n, tol, max_iter):
     n = k_eigs.shape[0]
     inv = 1.0 / d_over_n
     lo = 0.0
+    # a valid bracket: at hi each term is at most 1/(1 + inv^2), so the left
+    # side is at most d^2/(1 + d^2) < d for d = d_over_n > 0
     hi = np.max(k_eigs) * inv
-    # widen until the bracket is valid (cheap; one or two doublings at most)
-    for _ in range(200):
-        g_hi = np.sum(k_eigs / (k_eigs + hi * inv)) / n - d_over_n
-        if g_hi < 0.0:
-            break
-        hi *= 2.0
     it = 0
     while hi - lo > tol and it < max_iter:
         mid = 0.5 * (lo + hi)

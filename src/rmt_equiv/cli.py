@@ -416,7 +416,6 @@ def _run_dynamics(params, out):
                           for t, beta, proj in zip(times, betas, projs)])
     # NTK trajectory on the depth-2 linearized kernel of the same data
     act = hk.normalize_activation(rf_nn.get_activation("tanh"))
-    coeffs = hk.hermite_coeffs(act)
     dcoeffs = hk.hermite_coeffs(rf_nn.ActivationSpec("dtanh", act.derivative,
                                                      lambda t: t))
     alphas = hk.ck_alphas([act, act])

@@ -73,24 +73,14 @@ def _check_dims(rows, cols):
         raise ValueError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
 
 
-def gaussian_matrix(rows, cols, variance, seed, out=None) -> DataMatrix:
-    """i.i.d. zero-mean Gaussian matrix with the given entry variance.
-
-    With ``out``, a C-contiguous float64 array of shape (rows, cols), the
-    values are drawn into ``out`` and are the same as without it. The
-    returned DataMatrix then shares memory with ``out``: its entries are
-    overwritten by the next draw into the same buffer.
-    """
+def gaussian_matrix(rows, cols, variance, seed) -> DataMatrix:
+    """i.i.d. zero-mean Gaussian matrix with the given entry variance."""
     _check_dims(rows, cols)
     if not 0 < variance < np.inf:
         raise ValueError("variance must be positive and finite")
-    # the generator also fills an F-ordered out, but in memory order, which
-    # would transpose the stream
-    if out is not None and not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
     # the same values as rng.normal(0.0, sqrt(variance), ...), which computes
     # 0 + sqrt(variance) * z, without the extra pass at unit variance
-    entries = np.random.default_rng(seed).standard_normal((rows, cols), out=out)
+    entries = np.random.default_rng(seed).standard_normal((rows, cols))
     if variance != 1:
         entries *= np.sqrt(variance)
     return DataMatrix(entries, {"distribution": "gaussian", "normalization": "none",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .det_equiv import mp_stieltjes, mp_stieltjes_derivative
-from .errors import ConvergenceError, SingularityError
+from .errors import SingularityError
 from .randgen import DataMatrix, GroundTruth, gaussian_matrix, laguerre_bidiagonal, \
     linear_targets, stream
 from .results import ResultRow
@@ -258,49 +258,51 @@ def bidiagonal_risks(a, s, b, z, n, gamma, sigma2):
     return r_in, r_out
 
 
-def _direct_trials(spec: SweepSpec, n, point_index, buffer):
-    """r_in, r_out and the failure count of the gamma = 0 trials of one point,
-    each fitted on a p x n draw into the front of the flat ``buffer``."""
+def _direct_trial(p, n, truth, seed):
+    """(r_in, r_out) of the min-norm fit on one p x n Gaussian draw, which is
+    freed on return."""
+    X = gaussian_matrix(p, n, 1.0, seed)
+    y = linear_targets(X, truth, seed + 50_000_000)
+    risks = empirical_risks(ridge_fit(X, y, 0.0), truth, X)
+    return risks.r_in, risks.r_out
+
+
+def _direct_trials(spec: SweepSpec, n, point_index):
+    """r_in and r_out of the gamma = 0 trials of one point, each fitted on its
+    own p x n draw; a trial whose fit fails is NaN."""
     p = spec.p
-    draw = buffer[:p * n].reshape(p, n)
     rng = np.random.default_rng(spec.seed)
     direction = rng.standard_normal(p)
     bstar = direction / np.linalg.norm(direction) * np.sqrt(spec.beta_norm2)
     truth = GroundTruth(beta_star=bstar, sigma2=spec.sigma2)
 
-    r_in_vals = np.empty(spec.trials)
-    r_out_vals = np.empty(spec.trials)
+    vals = np.empty((2, spec.trials))
     base = spec.seed + 100_003 * point_index
-    failures = 0
     for t in range(spec.trials):
         try:
-            X = gaussian_matrix(p, n, 1.0, base + t, draw)
-            y = linear_targets(X, truth, base + t + 50_000_000)
-            risks = empirical_risks(ridge_fit(X, y, 0.0), truth, X)
-            r_in_vals[t], r_out_vals[t] = risks.r_in, risks.r_out
-        except (np.linalg.LinAlgError, SingularityError, ConvergenceError):
-            # recorded in the row status; never aborts the sweep
-            r_in_vals[t] = r_out_vals[t] = np.nan
-            failures += 1
-    return r_in_vals, r_out_vals, failures
+            vals[:, t] = _direct_trial(p, n, truth, base + t)
+        except np.linalg.LinAlgError:
+            vals[:, t] = np.nan
+    return vals
 
 
-def _sweep_point(spec: SweepSpec, ratio, gamma, point_index, buffer):
+def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
     """The two rows of one (ratio, gamma) point. A gamma > 0 point simulates
     its trials with ``bidiagonal_risks``; a gamma = 0 point fits each trial
-    on a direct draw into ``buffer``."""
+    on a direct draw."""
     p = spec.p
     n = _sample_count(spec, ratio)
     c = p / n
     if gamma > 0:
         r_in_vals, r_out_vals = bidiagonal_risks(
             *draw_bidiagonal(spec, n, point_index), n, gamma, spec.sigma2)
-        # a trial the sampler could not finish fails as a direct trial would
-        failed = ~(np.isfinite(r_in_vals) & np.isfinite(r_out_vals))
-        r_in_vals[failed] = r_out_vals[failed] = np.nan
-        failures = int(failed.sum())
     else:
-        r_in_vals, r_out_vals, failures = _direct_trials(spec, n, point_index, buffer)
+        r_in_vals, r_out_vals = _direct_trials(spec, n, point_index)
+    # a trial whose fit failed or gave a non-finite risk is recorded in the
+    # row status; it never aborts the sweep
+    failed = ~(np.isfinite(r_in_vals) & np.isfinite(r_out_vals))
+    r_in_vals[failed] = r_out_vals[failed] = np.nan
+    failures = int(failed.sum())
     status = "peak" if abs(c - 1.0) < PEAK_RATIO_BAND and gamma == 0 else "ok"
     if failures:
         status = f"{failures}-trials-failed"
@@ -323,8 +325,8 @@ def sweep_double_descent(spec: SweepSpec):
 
     Trials derive their streams from the spec seed and the point index.
     gamma > 0 points are simulated from the bidiagonal Laguerre model
-    (``bidiagonal_risks``). gamma = 0 points draw every trial into one buffer
-    sized for their largest n, so the sweep holds one draw at a time.
+    (``bidiagonal_risks``). gamma = 0 points draw each trial afresh and free
+    the draw before the next, so the sweep holds one draw at a time.
     """
     if spec.trials < 1:
         raise ValueError("need at least one trial")
@@ -333,11 +335,8 @@ def sweep_double_descent(spec: SweepSpec):
     if not all(g >= 0 for g in spec.gammas):
         raise ValueError("gammas must be >= 0")
     points = [(g, r) for g in spec.gammas for r in spec.ratios]
-    buffer = None
-    if any(g == 0 for g in spec.gammas):
-        buffer = np.empty(spec.p * max(_sample_count(spec, r) for r in spec.ratios))
     rows = []
     for i, (g, r) in enumerate(points):
-        rows.extend(_sweep_point(spec, r, g, i, buffer))
+        rows.extend(_sweep_point(spec, r, g, i))
     rows.sort(key=lambda row: (row.gamma, row.ratio, row.metric))
     return rows

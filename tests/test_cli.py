@@ -372,7 +372,8 @@ class TestRunExperiments:
         assert "Traceback" not in err
 
     def test_unallocatable_draw_buffer_exit_3(self, tmp_path, capsys):
-        # p x n = 1e15 doubles: the buffer allocation fails without touching memory
+        # p x n = 1e15 doubles: the first draw fails to allocate without touching
+        # memory
         path = write_config(tmp_path, "seed = 1\np = 100000\nratios = 100000\n"
                                       "trials = 1\ngammas = 0\n")
         assert cli.main(["ridge-sweep", "--config", path, "--out", str(tmp_path)]) == 3

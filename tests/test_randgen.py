@@ -52,22 +52,6 @@ class TestGaussianMatrix:
         pn = X.entries.size
         assert abs(X.entries.var() - 2.0) < 2.0 * 4 / np.sqrt(pn)
 
-    @pytest.mark.parametrize("variance", [1.0, 2.0])
-    def test_out_holds_the_fresh_draw(self, variance):
-        # a view of the front of a larger flat buffer, as the ridge sweep uses
-        out = np.empty(1000)[:600].reshape(30, 20)
-        X = randgen.gaussian_matrix(30, 20, variance, 9, out)
-        want = randgen.gaussian_matrix(30, 20, variance, 9)
-        assert np.array_equal(X.entries, want.entries)
-        assert np.shares_memory(X.entries, out)
-
-    @pytest.mark.parametrize("out", [np.empty((20, 30)), np.empty((20, 30)).T,
-                                     np.empty((30, 40))[:, ::2]],
-                             ids=["wrong-shape", "f-order", "strided"])
-    def test_out_must_be_c_contiguous_of_the_shape(self, out):
-        with pytest.raises(ValueError):
-            randgen.gaussian_matrix(30, 20, 1.0, 9, out)
-
 
 class TestStream:
     def test_distinct_keys_draw_distinct_values(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmt_equiv import hermite_kernels as hk
 from rmt_equiv import rf_nn
@@ -312,6 +314,17 @@ class TestThetaFixedPoint:
         k = np.ones(32)
         vals = [rf_nn.theta_fixed_point(k, dn) for dn in (0.2, 0.4, 0.6, 0.8)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    # k stays at most 1e2: near theta = 1e3 the float spacing exceeds the
+    # absolute bisection tolerance, and the bisection runs to its cap
+    @given(st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=64),
+           st.floats(1e-6, 1.0, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_solves_its_equation(self, k, d_over_n):
+        k = np.array(k)
+        theta = rf_nn.theta_fixed_point(k, d_over_n)
+        assert 0 < theta <= k.max() / d_over_n
+        assert np.mean(k / (k + theta / d_over_n)) == pytest.approx(d_over_n, rel=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

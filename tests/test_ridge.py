@@ -348,7 +348,7 @@ class TestSweep:
         assert rows[1].theory == ridge.risk_theory(0.1, 16 / 9, 1.0, 0.1).r_out
 
     def test_shared_draw_buffer_matches_per_trial_allocation(self):
-        # gamma = 0, the points that draw into the buffer
+        # gamma = 0, the points that fit on direct draws
         spec = ridge.SweepSpec(ratios=[0.5, 2.0], gammas=[0.0], trials=3, p=32,
                                sigma2=0.1, seed=13)
         got, want = ridge.sweep_double_descent(spec), per_trial_allocation_sweep(spec)
@@ -466,7 +466,7 @@ class TestBidiagonalSampler:
         assert all(np.isfinite(r.empirical_mean) for r in rows)
 
     def test_no_draw_buffer_without_a_ridgeless_point(self):
-        # p x n = 4e14 doubles: a gamma = 0 point could not allocate its buffer
+        # p x n = 4e14 doubles: a gamma = 0 point could not allocate its first draw
         spec = ridge.SweepSpec(ratios=[1e6], gammas=[0.1], trials=1, p=20000, seed=1)
         rows = ridge.sweep_double_descent(spec)
         assert [r.status for r in rows] == ["ok", "ok"]
