@@ -47,7 +47,9 @@ def theta_bisect(k_eigs, d_over_n, tol, max_iter):
     """Bisection for theta: (1/n) sum_i k_i/(k_i + theta/d_over_n) = d_over_n.
 
     The left side is strictly decreasing in theta, so plain bisection on a
-    bracket is unconditionally convergent. Returns (theta, iterations).
+    bracket is unconditionally convergent. It stops once the bracket is
+    narrower than ``tol`` times its upper end, a width the float spacing
+    allows at any scale of theta. Returns (theta, iterations).
     """
     n = k_eigs.shape[0]
     inv = 1.0 / d_over_n
@@ -56,7 +58,7 @@ def theta_bisect(k_eigs, d_over_n, tol, max_iter):
     # side is at most d^2/(1 + d^2) < d for d = d_over_n > 0
     hi = np.max(k_eigs) * inv
     it = 0
-    while hi - lo > tol and it < max_iter:
+    while hi - lo > tol * hi and it < max_iter:
         mid = 0.5 * (lo + hi)
         g = np.sum(k_eigs / (k_eigs + mid * inv)) / n - d_over_n
         if g > 0.0:

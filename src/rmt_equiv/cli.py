@@ -489,7 +489,12 @@ def run(config: ExperimentConfig, out_dir=".", threads=1):
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a path through a file, or an existing file
+        print(f"error: --out {out_dir}: cannot create the output directory: "
+              f"{exc.strerror}", file=sys.stderr)
+        return 2
     params = config.params
     try:
         dev = EXPERIMENTS[config.experiment].run(params, out_dir)

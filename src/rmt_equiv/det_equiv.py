@@ -166,14 +166,14 @@ def solve_delta_scm(C_eigenvalues, n, z, tol=1e-12) -> DEFixedPoint:
     return DEFixedPoint(z=z, delta=delta, residual=float(resid), iterations=iters)
 
 
-def de_resolvents(C_eigenvalues, n, z, tol=1e-12):
+def de_resolvents(C_eigenvalues, n, z):
     """Deterministic equivalents of the SCM and Gram resolvents at z.
 
     Returns the eigenbasis diagonal of (C/(1+delta) - zI)^{-1} together with
     the scalar s such that the Gram equivalent is s * I_n, s = -1/(z(1+delta)).
     """
     c_eigs = np.asarray(C_eigenvalues, dtype=float)
-    fp = solve_delta_scm(c_eigs, n, z, tol)
+    fp = solve_delta_scm(c_eigs, n, z)
     scm_diag = 1.0 / (c_eigs / (1.0 + fp.delta) - fp.z)
     gram_scalar = -1.0 / (fp.z * (1.0 + fp.delta))
     return scm_diag, gram_scalar

@@ -22,6 +22,9 @@ from .randgen import as_array
 from .ridge import solve_ridge
 
 MAX_FP_ITERATIONS = 200_000
+#: stopping tolerance of the delta iteration (absolute step) and of the theta
+#: bisection (bracket width relative to its upper end)
+FP_TOL = 1e-13
 #: largest relative tail bound of ``hk.mehler_kernel`` that kernel_expectation accepts
 MEHLER_TAIL_TOL = 1e-6
 
@@ -112,44 +115,31 @@ def rf_empirical_mse(beta, features, y):
     return float(resid @ resid / y.size)
 
 
-def kernel_expectation(X, X2, act: ActivationSpec, method="analytic",
-                       m=100_000, seed=0):
+def kernel_expectation(X, X2, act: ActivationSpec):
     """Expected kernel block E_w[phi(X^T w) phi(w^T X2)] over w ~ N(0, I_p).
 
-    method='analytic' is exact: closed forms for the identity (X^T X2), ReLU
-    (degree-1 arc-cosine kernel) and sign ((2/pi) arcsin rho), else
-    ``hk.mehler_kernel`` at rho = cos(x, x'), which raises DomainError where
-    its tail bound exceeds MEHLER_TAIL_TOL. method='monte-carlo' averages m
-    fresh Gaussian draws and is the oracle of the tests.
+    Exact: closed forms for the identity (X^T X2), ReLU (degree-1 arc-cosine
+    kernel) and sign ((2/pi) arcsin rho), else ``hk.mehler_kernel`` at
+    rho = cos(x, x'), which raises DomainError where its tail bound exceeds
+    MEHLER_TAIL_TOL.
     """
     A, B = as_array(X), as_array(X2)
     if A.shape[0] != B.shape[0]:
         raise ValueError("X and X2 must share the ambient dimension p")
-    if method == "analytic":
-        if act.name == "identity":
-            return A.T @ B
-        norms_a, norms_b = np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0)
-        if act.name == "relu":
-            return _kernels.relu_pair_kernel(A.T @ B, norms_a, norms_b)
-        rho = np.clip(A.T @ B / np.outer(norms_a, norms_b), -1.0, 1.0)
-        if act.name == "sign":
-            return (2.0 / np.pi) * np.arcsin(rho)
-        K, bound = hk.mehler_kernel(act, rho, norms_a, norms_b, diagonal=X2 is X)
-        if bound.max() > MEHLER_TAIL_TOL:
-            raise DomainError(f"{act.name!r} kernel: Mehler series tail bound "
-                              f"{bound.max():.2e} > {MEHLER_TAIL_TOL:g} of the kernel "
-                              "scale; columns too near parallel at these norms")
-        return K
-    if method == "monte-carlo":
-        if m < 1:
-            raise ValueError("monte-carlo sample count m must be >= 1")
-        rng = np.random.default_rng(seed)
-        out = np.zeros((A.shape[1], B.shape[1]))
-        for done in range(0, m, 20_000):  # chunked: memory stays bounded for large m
-            W = rng.standard_normal((min(m - done, 20_000), A.shape[0]))
-            out += act.evaluate(W @ A).T @ act.evaluate(W @ B)
-        return out / m
-    raise ValueError(f"unknown method {method!r}")
+    if act.name == "identity":
+        return A.T @ B
+    norms_a, norms_b = np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0)
+    if act.name == "relu":
+        return _kernels.relu_pair_kernel(A.T @ B, norms_a, norms_b)
+    rho = np.clip(A.T @ B / np.outer(norms_a, norms_b), -1.0, 1.0)
+    if act.name == "sign":
+        return (2.0 / np.pi) * np.arcsin(rho)
+    K, bound = hk.mehler_kernel(act, rho, norms_a, norms_b, diagonal=X2 is X)
+    if bound.max() > MEHLER_TAIL_TOL:
+        raise DomainError(f"{act.name!r} kernel: Mehler series tail bound "
+                          f"{bound.max():.2e} > {MEHLER_TAIL_TOL:g} of the kernel "
+                          "scale; columns too near parallel at these norms")
+    return K
 
 
 def kernel_triplet(X, X_test, act: ActivationSpec) -> KernelTriplet:
@@ -161,7 +151,7 @@ def kernel_triplet(X, X_test, act: ActivationSpec) -> KernelTriplet:
     )
 
 
-def nonlinear_de_delta(K_eigenvalues, n, d, gamma, tol=1e-13) -> NonlinearDE:
+def nonlinear_de_delta(K_eigenvalues, n, d, gamma) -> NonlinearDE:
     """Fixed point delta = (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma)."""
     k = np.asarray(K_eigenvalues, dtype=float)
     if np.any(k < 0) or not np.any(k > 0):
@@ -170,7 +160,7 @@ def nonlinear_de_delta(K_eigenvalues, n, d, gamma, tol=1e-13) -> NonlinearDE:
         raise ValueError("gamma must be positive")
     delta0 = max(np.mean(k) / gamma, 1.0)
     delta, resid, iters, ok = _kernels.delta_gram_iterate(
-        k, float(n), float(d), gamma, tol, MAX_FP_ITERATIONS, delta0
+        k, float(n), float(d), gamma, FP_TOL, MAX_FP_ITERATIONS, delta0
     )
     if not ok:
         raise ConvergenceError(
@@ -181,7 +171,7 @@ def nonlinear_de_delta(K_eigenvalues, n, d, gamma, tol=1e-13) -> NonlinearDE:
                        residual=float(resid), iterations=iters)
 
 
-def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma, tol=1e-13):
+def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
     """Deterministic-equivalent train and test MSEs of the random-feature ridge.
 
     Evaluates, with K~ = (d/n) K/(1+delta) and Q~ = (K~ + gamma I)^{-1},
@@ -200,7 +190,7 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma, tol=1e-13):
     if len(kernels.k_train) != y.size or len(kernels.k_test) != y_test.size:
         raise ValueError("kernel blocks inconsistent with target lengths")
     lam, U, Ukx = kernels.eigenbasis
-    de = nonlinear_de_delta(lam, n, d, gamma, tol)
+    de = nonlinear_de_delta(lam, n, d, gamma)
     scale = de.k_tilde_scale
     kt = scale * lam                       # eigenvalues of K~
     qt = 1.0 / (kt + gamma)                # eigenvalues of Q~
@@ -226,7 +216,7 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma, tol=1e-13):
     return e_train, e_test
 
 
-def theta_fixed_point(K_eigenvalues, d_over_n, tol=1e-13):
+def theta_fixed_point(K_eigenvalues, d_over_n):
     """Ridgeless limit theta of gamma*delta in the under-parameterized regime.
 
     Solves (1/n) sum_i k_i / (k_i + theta n/d) = d/n by bisection (the left
@@ -237,7 +227,7 @@ def theta_fixed_point(K_eigenvalues, d_over_n, tol=1e-13):
         raise DomainError("theta is defined for d/n in (0, 1)")
     if np.any(k <= 0):
         raise DomainError("theta requires a full-rank kernel (all eigenvalues > 0)")
-    theta, _ = _kernels.theta_bisect(k, float(d_over_n), tol, 10_000)
+    theta, _ = _kernels.theta_bisect(k, float(d_over_n), FP_TOL, 10_000)
     return float(theta)
 
 

@@ -123,17 +123,12 @@ def empirical_risks(beta, truth: GroundTruth, X: DataMatrix) -> RiskPair:
     return RiskPair(r_in=float(resid @ resid) / X.n, r_out=float(diff @ diff))
 
 
-def risk_theory(gamma, c, beta_norm2, sigma2, regime="proportional") -> RiskPair:
-    """Closed-form asymptotic risks in the classical or proportional regime."""
+def risk_theory(gamma, c, beta_norm2, sigma2) -> RiskPair:
+    """Closed-form asymptotic risks in the proportional regime."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     if not c > 0:
         raise ValueError("ratio c must be positive")
-    if regime == "classical":
-        val = (gamma**2 * beta_norm2 + c * sigma2) / (1.0 + gamma) ** 2
-        return RiskPair(val, val)
-    if regime != "proportional":
-        raise ValueError(f"unknown regime {regime!r}")
     if gamma == 0:
         return ridgeless_limits(c, beta_norm2, sigma2)
     m = mp_stieltjes(c, -gamma).real
@@ -308,7 +303,7 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
         status = f"{failures}-trials-failed"
 
     try:
-        theory = risk_theory(gamma, c, spec.beta_norm2, spec.sigma2, "proportional")
+        theory = risk_theory(gamma, c, spec.beta_norm2, spec.sigma2)
         th_in, th_out = theory.r_in, theory.r_out
     except SingularityError:
         th_in = th_out = float("nan")

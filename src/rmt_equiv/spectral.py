@@ -198,17 +198,15 @@ def contour_functional(S, f, a, b, contour: ContourSpec):
     return float(total.real)
 
 
-def enclosing_contour(eigenvalues, indices=None, nodes=512) -> ContourSpec:
-    """Circle around the selected eigenvalues with a relative margin.
+def enclosing_contour(eigenvalues, nodes=512) -> ContourSpec:
+    """Circle around the whole spectrum with a relative margin.
 
-    With ``indices=None`` the circle encloses the whole spectrum. The margin,
-    ``CONTOUR_MARGIN``, is relative to the enclosed spread (or to 1 for a
-    single point).
+    The margin, ``CONTOUR_MARGIN``, is relative to the enclosed spread (or to
+    1 for a single point).
     """
-    lam = np.sort(np.asarray(eigenvalues, dtype=float))
-    sel = lam if indices is None else lam[np.asarray(list(indices), dtype=int)]
-    center = 0.5 * (sel.min() + sel.max())
-    spread = 0.5 * (sel.max() - sel.min())
+    lam = np.asarray(eigenvalues, dtype=float)
+    center = 0.5 * (lam.min() + lam.max())
+    spread = 0.5 * (lam.max() - lam.min())
     radius = spread + CONTOUR_MARGIN * max(spread, 1.0)
     return ContourSpec(complex(center), radius, nodes)
 

@@ -1,0 +1,22 @@
+"""Monte Carlo oracles that the tests check the library's closed forms against."""
+
+import numpy as np
+
+from rmt_equiv.randgen import as_array
+
+
+def mc_kernel_expectation(X, X2, act, m, seed):
+    """Monte Carlo estimate of E_w[phi(X^T w) phi(w^T X2)] over w ~ N(0, I_p):
+    the average over m fresh Gaussian draws of w from ``default_rng(seed)``,
+    the oracle of ``rf_nn.kernel_expectation``."""
+    A, B = as_array(X), as_array(X2)
+    if A.shape[0] != B.shape[0]:
+        raise ValueError("X and X2 must share the ambient dimension p")
+    if m < 1:
+        raise ValueError("monte-carlo sample count m must be >= 1")
+    rng = np.random.default_rng(seed)
+    out = np.zeros((A.shape[1], B.shape[1]))
+    for done in range(0, m, 20_000):  # chunked: memory stays bounded for large m
+        W = rng.standard_normal((min(m - done, 20_000), A.shape[0]))
+        out += act.evaluate(W @ A).T @ act.evaluate(W @ B)
+    return out / m

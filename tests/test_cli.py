@@ -432,6 +432,15 @@ class TestRunExperiments:
         assert "error: RMT_EQUIV_SEED: " in err, err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("out", ["file", "file/sub"])  # a file, a path through one
+    def test_unusable_out_exit_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, "seed = 1\np = 16\n")
+        assert cli.main(["mp", "--config", path, "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {tmp_path / out}: " in err, err
+        assert "Traceback" not in err
+
     def test_validation_failure_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RMT_EQUIV_SEED", raising=False)
         path = write_config(tmp_path, "p = 128\n")  # no seed

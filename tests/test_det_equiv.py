@@ -161,7 +161,7 @@ class TestDEResolvents:
         assert np.allclose(diag.real, 1 / (1 + gamma), atol=1e-4)
 
     def test_golden_identity_gram_scalar(self):
-        _, s = det_equiv.de_resolvents(np.ones(256), 256, -1.0, tol=1e-14)
+        _, s = det_equiv.de_resolvents(np.ones(256), 256, -1.0)
         assert s.real == pytest.approx(GOLDEN, abs=1e-10)  # 1/(1+delta) = delta
 
     def test_gram_trace_monte_carlo(self):

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rmt_equiv import _kernels
 from rmt_equiv import hermite_kernels as hk
 from rmt_equiv import rf_nn
 from rmt_equiv.errors import DomainError
 from rmt_equiv.randgen import sphere_dataset
+
+from oracles import mc_kernel_expectation
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 
@@ -109,8 +112,8 @@ class TestKernelExpectation:
         X = sphere_dataset(6, 5, 0)
         act = rf_nn.get_activation("identity")
         want = X.entries.T @ X.entries
-        assert np.allclose(rf_nn.kernel_expectation(X, X, act, "analytic"), want)
-        mc = rf_nn.kernel_expectation(X, X, act, "monte-carlo", m=200_000, seed=1)
+        assert np.allclose(rf_nn.kernel_expectation(X, X, act), want)
+        mc = mc_kernel_expectation(X, X, act, m=200_000, seed=1)
         assert np.abs(mc - want).max() < 0.02
 
     def test_relu_diagonal_half(self):
@@ -121,22 +124,21 @@ class TestKernelExpectation:
     def test_relu_monte_carlo_vs_analytic(self):
         X = sphere_dataset(8, 4, 2)
         act = rf_nn.get_activation("relu")
-        exact = rf_nn.kernel_expectation(X, X, act, "analytic")
-        mc = rf_nn.kernel_expectation(X, X, act, "monte-carlo", m=10**6, seed=3)
+        exact = rf_nn.kernel_expectation(X, X, act)
+        mc = mc_kernel_expectation(X, X, act, m=10**6, seed=3)
         assert np.abs(mc - exact).max() <= 5e-3
 
     def test_monte_carlo_rate(self):
         # entrywise error shrinks like m^{-1/2}: slope -0.5 +- 0.1 on log-log
         X = sphere_dataset(8, 4, 4)
         act = rf_nn.get_activation("relu")
-        exact = rf_nn.kernel_expectation(X, X, act, "analytic")
+        exact = rf_nn.kernel_expectation(X, X, act)
         ms = [10**3, 10**4, 10**5, 10**6]
         errs = []
         for m in ms:
             # average the error over independent replicates to tame noise
-            reps = [np.abs(rf_nn.kernel_expectation(
-                X, X, act, "monte-carlo", m=m, seed=100 + r) - exact).max()
-                for r in range(3)]
+            reps = [np.abs(mc_kernel_expectation(X, X, act, m=m, seed=100 + r)
+                           - exact).max() for r in range(3)]
             errs.append(np.mean(reps))
         slope = np.polyfit(np.log(ms), np.log(errs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.1)
@@ -146,8 +148,8 @@ class TestKernelExpectation:
         X = sphere_dataset(8, 4, 2)
         act = rf_nn.get_activation(name)
         for X2 in (X, sphere_dataset(8, 3, 6)):  # a diagonal block and a cross block
-            exact = rf_nn.kernel_expectation(X, X2, act, "analytic")
-            mc = rf_nn.kernel_expectation(X, X2, act, "monte-carlo", m=10**6, seed=3)
+            exact = rf_nn.kernel_expectation(X, X2, act)
+            mc = mc_kernel_expectation(X, X2, act, m=10**6, seed=3)
             assert np.abs(mc - exact).max() <= 5e-3
 
     def test_series_matches_relu_closed_form(self):
@@ -184,7 +186,7 @@ class TestKernelExpectation:
 
 class TestNonlinearDeDelta:
     def test_identity_kernel_golden(self):
-        de = rf_nn.nonlinear_de_delta(np.ones(64), 64, 64, 1.0, tol=1e-14)
+        de = rf_nn.nonlinear_de_delta(np.ones(64), 64, 64, 1.0)
         assert de.delta == pytest.approx(GOLDEN, abs=1e-10)
         assert de.residual <= 1e-13
 
@@ -315,9 +317,7 @@ class TestThetaFixedPoint:
         vals = [rf_nn.theta_fixed_point(k, dn) for dn in (0.2, 0.4, 0.6, 0.8)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
-    # k stays at most 1e2: near theta = 1e3 the float spacing exceeds the
-    # absolute bisection tolerance, and the bisection runs to its cap
-    @given(st.lists(st.floats(1e-3, 1e2), min_size=1, max_size=64),
+    @given(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=64),
            st.floats(1e-6, 1.0, exclude_max=True))
     @settings(max_examples=100, deadline=None)
     def test_solves_its_equation(self, k, d_over_n):
@@ -325,6 +325,15 @@ class TestThetaFixedPoint:
         theta = rf_nn.theta_fixed_point(k, d_over_n)
         assert 0 < theta <= k.max() / d_over_n
         assert np.mean(k / (k + theta / d_over_n)) == pytest.approx(d_over_n, rel=1e-9)
+
+    def test_large_theta_converges(self):
+        # theta = 1000, where the float spacing is above 1e-13: the bracket
+        # width that ends the bisection is relative to its upper end
+        k = np.full(64, 2000.0)
+        theta, iterations = _kernels.theta_bisect(k, 0.5, rf_nn.FP_TOL, 10_000)
+        assert iterations < 100
+        assert theta == pytest.approx(1000.0, rel=1e-12)
+        assert np.mean(k / (k + theta / 0.5)) == pytest.approx(0.5, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -222,10 +222,6 @@ class TestEmpiricalRisks:
 
 
 class TestRiskTheory:
-    def test_classical_ridgeless(self):
-        rp = ridge.risk_theory(0.0, 0.5, 1.0, 0.1, regime="classical")
-        assert (rp.r_in, rp.r_out) == (pytest.approx(0.05), pytest.approx(0.05))
-
     def test_proportional_ridgeless_under(self):
         rp = ridge.risk_theory(0.0, 0.5, 1.0, 0.1)
         assert rp.r_in == pytest.approx(0.05)
@@ -249,12 +245,14 @@ class TestRiskTheory:
             ridge.risk_theory(0.0, 1.0, 1.0, 0.1)
 
     def test_regime_consistency_small_c(self):
+        # as c -> 0 both risks tend to the classical (fixed p, n -> inf) value
+        # (gamma^2 ||b*||^2 + c sigma^2) / (1 + gamma)^2
         c = 1e-4
         for gamma in (0.1, 0.5, 2.0):
             prop = ridge.risk_theory(gamma, c, 1.0, 0.1)
-            clas = ridge.risk_theory(gamma, c, 1.0, 0.1, regime="classical")
-            assert abs(prop.r_in - clas.r_in) < 1e-3
-            assert abs(prop.r_out - clas.r_out) < 1e-3
+            classical = (gamma**2 + c * 0.1) / (1.0 + gamma) ** 2
+            assert abs(prop.r_in - classical) < 1e-3
+            assert abs(prop.r_out - classical) < 1e-3
 
 
 class TestRidgelessLimits:
