@@ -9,8 +9,9 @@ lists are comma-separated). The seed is mandatory and may be overridden by the
 ``RMT_EQUIV_SEED`` environment variable. All numeric CSV values are written
 with 9 significant digits; identical configs produce byte-identical CSVs.
 
-Exit status: 0 success, 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
-non-finite number is a bad config), 3 numerical failure or failed allocation.
+Exit status: 0 success; 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
+non-finite number is a bad config), or an ``--out`` that cannot be created or
+written; 3 numerical failure or failed allocation.
 """
 
 import argparse
@@ -25,8 +26,7 @@ from . import dynamics as dyn
 from . import hermite_kernels as hk
 from . import rf_nn
 from .det_equiv import MPParams, mp_cdf, mp_density
-from .errors import ConvergenceError, DatasetError, NearPhaseTransitionError, \
-    SingularityError
+from .errors import DatasetError, SingularityError
 from .randgen import NORMALIZATIONS, DataMatrix, ingest_dataset, laguerre_bidiagonal, \
     sphere_dataset, stream
 from .results import ResultRow, write_csv, write_rows
@@ -59,6 +59,9 @@ def parse_config(path, experiment=None) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
+            if key.startswith("_"):
+                raise ValueError(f"{path}:{lineno}: {key}: keys starting with '_' "
+                                 "are set by command-line options only")
             raw[key] = (lineno, value)
     file_exp = raw.pop("experiment", (None, None))[1]
     exp = experiment or file_exp
@@ -92,6 +95,7 @@ _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _COUNT = (lambda v: v >= 1, "must be >= 1")
 _SPHERE_DIM = (lambda v: v >= 2, "must be >= 2 (a sphere dimension)")
+_INT64 = 2.0**63  # sample counts are int64; an int p compares exactly with it
 _ACTIVATION = _member(rf_nn.ACTIVATIONS)
 
 
@@ -132,6 +136,8 @@ def validate(config: ExperimentConfig):
 
 def _check_ridge_sweep(params):
     errors = (_bound(params, "trials p", *_COUNT) + _bound(params, "ratios", *_POSITIVE)
+              + _bound(params, "ratios", lambda r: r <= 0 or params["p"] < _INT64 / r,
+                       "must keep n = ratio * p below 2**63")
               + _bound(params, "gammas sigma2 beta_norm2 theory_grid", *_NONNEGATIVE))
     warnings_ = [f"ratio {r} sits on the interpolation peak; theory value "
                  "will be near-singular at small gamma"
@@ -159,6 +165,8 @@ def _mp_n(p, c):
 
 def _check_mp(params):
     errors = _bound(params, "p bins", *_COUNT) + _bound(params, "c_list", *_POSITIVE)
+    errors += _bound(params, "c_list", lambda c: c <= 0 or params["p"] < _INT64 * c,
+                     "must keep n = p / c below 2**63")
     if errors:
         return errors, []
     p = params["p"]
@@ -321,7 +329,7 @@ def _run_rf_sweep(params, out):
     for d in widths:
         try:
             theory.append((*rf_nn.nn_mse_theory(kernels, ytr, yte, n, d, gamma), "ok"))
-        except NearPhaseTransitionError:
+        except SingularityError:
             theory.append((float("nan"), float("nan"), "near-phase-transition"))
     del kernels
     emp_tr, emp_te = np.empty((2, len(widths), trials))
@@ -489,21 +497,20 @@ def run(config: ExperimentConfig, out_dir=".", threads=1):
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:  # a path through a file, or an existing file
-        print(f"error: --out {out_dir}: cannot create the output directory: "
-              f"{exc.strerror}", file=sys.stderr)
-        return 2
     params = config.params
     try:
+        os.makedirs(out_dir, exist_ok=True)
         dev = EXPERIMENTS[config.experiment].run(params, out_dir)
     except DatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # ArithmeticError covers SingularityError and NearPhaseTransitionError,
-    # ValueError covers np.linalg.LinAlgError; MemoryError is a failed allocation
-    except (ArithmeticError, ConvergenceError, MemoryError, ValueError) as exc:
+    except OSError as exc:  # --out is a file, runs through one, or is not writable
+        print(f"error: --out {out_dir}: cannot create or write "
+              f"{exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    # ArithmeticError covers SingularityError and ConvergenceError, ValueError
+    # covers DomainError and np.linalg.LinAlgError; MemoryError is a failed allocation
+    except (ArithmeticError, MemoryError, ValueError) as exc:
         print(f"numerical failure in {config.experiment}: {exc}", file=sys.stderr)
         return 3
     print(f"{config.experiment}: seed={params['seed']} "

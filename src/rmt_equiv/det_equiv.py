@@ -157,10 +157,8 @@ def solve_delta_scm(C_eigenvalues, n, z, tol=1e-12) -> DEFixedPoint:
         c_eigs, float(n), z, tol, MAX_FP_ITERATIONS, delta0
     )
     if not ok:
-        raise ConvergenceError(
-            f"delta fixed point did not converge at z={z}",
-            residual=resid, iterations=iters,
-        )
+        raise ConvergenceError(f"delta fixed point did not converge at z={z}: "
+                               f"residual {resid:.3e} after {iters} iterations")
     if z.imag == 0.0:
         delta = complex(delta.real)
     return DEFixedPoint(z=z, delta=delta, residual=float(resid), iterations=iters)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, RankDeficiencyError
+from .errors import DomainError
 from .results import write_csv
 from .spectral import CONTOUR_MARGIN, ContourSpec, check_contour, circle_nodes, eigh, \
     rank_tolerance, resolvent_forms
@@ -46,11 +46,11 @@ class TrajectorySample:
 
 def _flow_spectrum(features, n):
     """S = Phi Phi^T / n with its ascending eigenvalues and eigenvectors; raises
-    RankDeficiencyError unless S has full rank."""
+    DomainError unless S has full rank."""
     S = features @ features.T / n
     lam, U = np.linalg.eigh(S)
     if lam.min() <= rank_tolerance(lam, S.shape[0]):
-        raise RankDeficiencyError(
+        raise DomainError(
             "Phi Phi^T / n is singular; the gradient flow needs full row rank "
             "(d <= n with generic features)"
         )

@@ -1,54 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the CLI exits 2 on a DatasetError
+and 3 on the other three."""
 
 
 class DomainError(ValueError):
-    """Input lies outside the mathematical domain of the operation."""
+    """Input outside the operation's domain (e.g. a point inside a support, a
+    constant activation, a rank-deficient Gram, a contour enclosing nothing)."""
 
 
 class SingularityError(ArithmeticError):
-    """Evaluation requested at (or numerically too close to) a singular point."""
+    """Evaluation at or numerically too close to a singular point (an eigenvalue,
+    the interpolation peak, a width at the kernel's effective dimension)."""
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative solver failed to converge; carries the last residual."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
-class EmptyContourError(ValueError):
-    """A contour integral was requested on a contour enclosing no eigenvalue."""
-
-
-class DegenerateActivationError(ValueError):
-    """Activation is (numerically) constant; cannot be variance-normalized."""
-
-
-class NearPhaseTransitionError(ArithmeticError):
-    """The MSE deterministic-equivalent denominator d - tr(K~Q~K~Q~) is not positive.
-
-    Signals that the width d is too close to the effective dimension of the
-    kernel at the requested regularization.
-    """
-
-
-class RankDeficiencyError(ValueError):
-    """A full-rank matrix was required (e.g. the gradient-flow feature Gram)."""
+class ConvergenceError(ArithmeticError):
+    """An iterative solver failed; its message gives the iterations and residual."""
 
 
 class DatasetError(Exception):
-    """Base class for dataset ingestion problems."""
-
-
-class DatasetParseError(DatasetError):
-    """A CSV row failed to parse; carries the offending 1-based row index."""
-
-    def __init__(self, message, row_index):
-        super().__init__(message)
-        self.row_index = row_index
-
-
-class EmptyDatasetError(DatasetError):
-    """Label filtering left no samples."""
+    """A dataset is unreadable or unusable; a malformed row's message starts with
+    ``row <i>:`` (1-based)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial import legendre
 
-from .errors import DegenerateActivationError, DomainError
+from .errors import DomainError
 from .randgen import as_array
 from .results import write_csv
 
@@ -115,7 +115,7 @@ def normalize_activation(act):
     c = hermite_coeffs(act)
     var = c.nu - c.a0**2
     if var <= 1e-12:
-        raise DegenerateActivationError(
+        raise DomainError(
             f"activation {act.name!r} is constant under the Gaussian measure"
         )
     shift, scale = c.a0, np.sqrt(var)

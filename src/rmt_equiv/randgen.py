@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DatasetParseError, EmptyDatasetError
+from .errors import DatasetError
 
 
 @dataclass
@@ -189,21 +189,19 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
                 lab = float(parts[0])
                 feats = np.array([float(v) for v in parts[1:]], dtype=float)
             except ValueError as exc:
-                raise DatasetParseError(f"row {idx}: {exc}", row_index=idx) from exc
+                raise DatasetError(f"row {idx}: {exc}") from exc
             if feats.size == 0:
-                raise DatasetParseError(f"row {idx}: no features", row_index=idx)
+                raise DatasetError(f"row {idx}: no features")
             if width is None:
                 width = feats.size
             elif feats.size != width:
-                raise DatasetParseError(
-                    f"row {idx}: expected {width} features, got {feats.size}",
-                    row_index=idx,
-                )
+                raise DatasetError(f"row {idx}: expected {width} features, "
+                                   f"got {feats.size}")
             if lab in labels_keep:
                 cols.append(feats)
                 labels.append(lab)
     if not cols:
-        raise EmptyDatasetError(f"no rows with labels {labels_keep} in {path}")
+        raise DatasetError(f"no rows with labels {labels_keep} in {path}")
     entries = np.stack(cols, axis=1)
     # generated data is finite by construction; outside data is checked here,
     # before a NaN can pass the normalization checks unseen

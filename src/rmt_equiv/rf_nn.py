@@ -13,11 +13,7 @@ import numpy as np
 
 from . import _kernels
 from . import hermite_kernels as hk
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NearPhaseTransitionError,
-)
+from .errors import ConvergenceError, DomainError, SingularityError
 from .randgen import as_array
 from .ridge import solve_ridge
 
@@ -163,10 +159,8 @@ def nonlinear_de_delta(K_eigenvalues, n, d, gamma) -> NonlinearDE:
         k, float(n), float(d), gamma, FP_TOL, MAX_FP_ITERATIONS, delta0
     )
     if not ok:
-        raise ConvergenceError(
-            f"nonlinear DE fixed point did not converge (gamma={gamma})",
-            residual=resid, iterations=iters,
-        )
+        raise ConvergenceError(f"nonlinear DE fixed point did not converge (gamma="
+                               f"{gamma}): residual {resid:.3e} after {iters} iterations")
     return NonlinearDE(delta=float(delta), k_tilde_scale=(d / n) / (1.0 + delta),
                        residual=float(resid), iterations=iters)
 
@@ -182,7 +176,7 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
                   * (1/n') [ tr K~_xx - tr( K~_x^T Q~ (I + gamma Q~) K~_x ) ]
 
     in the eigenbasis of the train block, ``kernels.eigenbasis``, which calls
-    at several widths share. Raises NearPhaseTransitionError if the shared
+    at several widths share. Raises SingularityError if the shared
     denominator is not positive.
     """
     y = np.asarray(y, dtype=float)
@@ -198,7 +192,7 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
     tr_KQKQ = float(np.sum((kt * qt) ** 2))
     denom = d - tr_KQKQ
     if not denom > 0:
-        raise NearPhaseTransitionError(
+        raise SingularityError(
             f"d - tr(K~Q~K~Q~) = {denom:.3e} <= 0: width d is at the effective "
             "dimension of the kernel at this gamma"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyContourError, SingularityError
+from .errors import DomainError, SingularityError
 
 #: minimum allowed distance between a contour and any eigenvalue
 CONTOUR_CLEARANCE = 1e-8
@@ -159,7 +159,7 @@ def check_contour(eigenvalues, contour: ContourSpec):
         )
     inside = np.abs(eigenvalues - contour.center) < contour.radius
     if not np.any(inside):
-        raise EmptyContourError("contour encloses no eigenvalue")
+        raise DomainError("contour encloses no eigenvalue")
     return inside
 
 

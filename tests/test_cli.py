@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmt_equiv import cli, randgen, rf_nn, ridge, spectral
+from rmt_equiv import cli, errors, randgen, rf_nn, ridge, spectral
 from rmt_equiv import hermite_kernels as hk
 from rmt_equiv.det_equiv import mp_cdf
 
@@ -283,6 +283,12 @@ class TestRunExperiments:
         ("dynamics", "d = 30\nn = 20", "d"),
         ("ck-depth", "layers = 1", "layers"),
         ("rf-sweep", "sigma2 = -1", "sigma2"),
+        # sample counts that no int64 holds
+        ("ridge-sweep", "ratios = 1e300", "ratios"),
+        ("mp", "c_list = 1e-300", "c_list"),
+        # keys starting with '_' come from command-line options, not from a file
+        ("mp", "_sed = 9", "_sed"),
+        ("rf-sweep", "_header = False", "_header"),
     ])
     def test_bad_input_exit_2_names_key(self, tmp_path, capsys, experiment, text, key):
         text = text.format(data=write_dataset(tmp_path, 30),  # 30 rows < n + n_test
@@ -439,6 +445,43 @@ class TestRunExperiments:
         assert cli.main(["mp", "--config", path, "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err
         assert f"error: --out {tmp_path / out}: " in err, err
+        assert "Traceback" not in err
+
+    def test_out_holding_a_directory_named_as_a_csv_exit_2(self, tmp_path, capsys):
+        (tmp_path / "mp_summary.csv").mkdir()
+        path = write_config(tmp_path, "seed = 1\np = 16\n")
+        assert cli.main(["mp", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out {tmp_path}: cannot create or write " \
+            f"{tmp_path / 'mp_summary.csv'}: Is a directory" in err, err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc_type", [
+        *(v for v in vars(errors).values()
+          if isinstance(v, type) and v.__module__ == errors.__name__),
+        OSError, MemoryError, np.linalg.LinAlgError], ids=lambda t: t.__name__)
+    def test_every_failure_has_an_exit_code(self, tmp_path, capsys, monkeypatch,
+                                            exc_type):
+        def failing(params, out):
+            raise exc_type("injected failure")
+
+        entry = cli.EXPERIMENTS["mp"]
+        monkeypatch.setitem(cli.EXPERIMENTS, "mp", entry._replace(run=failing))
+        path = write_config(tmp_path, "seed = 1\np = 16\n")
+        rc = cli.main(["mp", "--config", path, "--out", str(tmp_path)])
+        assert rc == (2 if issubclass(exc_type, (errors.DatasetError, OSError)) else 3)
+        err = capsys.readouterr().err
+        assert "injected failure" in err, err
+        assert "Traceback" not in err
+
+    def test_unconverged_fixed_point_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(rf_nn, "MAX_FP_ITERATIONS", 1)
+        path = write_config(tmp_path, config_text({"seed": 1, **TOY["rf-sweep"]}))
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"numerical failure in rf-sweep: nonlinear DE fixed point did "
+                         r"not converge .*: residual \d\.\d{3}e[+-]\d+ after 1 "
+                         r"iterations", err), err
         assert "Traceback" not in err
 
     def test_validation_failure_exit_2(self, tmp_path, monkeypatch):

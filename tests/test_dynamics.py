@@ -5,7 +5,7 @@ import pytest
 
 from rmt_equiv import dynamics as dyn
 from rmt_equiv import rf_nn
-from rmt_equiv.errors import DomainError, RankDeficiencyError
+from rmt_equiv.errors import DomainError
 from rmt_equiv.randgen import sphere_dataset
 
 
@@ -58,7 +58,7 @@ class TestGradientFlowBeta:
     def test_rank_deficient_rejected(self):
         rng = np.random.default_rng(4)
         feats = rng.standard_normal((10, 6))  # d > n: S is singular
-        with pytest.raises(RankDeficiencyError):
+        with pytest.raises(DomainError, match="is singular"):
             dyn.gradient_flow_beta(feats, np.ones(6), np.zeros(10), 1.0, 1.0)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from rmt_equiv import hermite_kernels as hk
 from rmt_equiv import rf_nn
-from rmt_equiv.errors import DegenerateActivationError, DomainError
+from rmt_equiv.errors import DomainError
 from rmt_equiv.randgen import sphere_dataset
 
 from oracles import mc_kernel_expectation
@@ -180,7 +180,7 @@ class TestNormalizeActivation:
     def test_constant_activation_rejected(self):
         const = rf_nn.ActivationSpec("const", lambda t: np.ones_like(t),
                                      lambda t: np.zeros_like(t))
-        with pytest.raises(DegenerateActivationError):
+        with pytest.raises(DomainError, match="'const' is constant"):
             hk.normalize_activation(const)
 
 

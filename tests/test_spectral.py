@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rmt_equiv import spectral
 from rmt_equiv.det_equiv import mp_density, mp_stieltjes
-from rmt_equiv.errors import EmptyContourError, SingularityError
+from rmt_equiv.errors import DomainError, SingularityError
 
 
 def random_symmetric(n, seed):
@@ -247,6 +247,6 @@ class TestContourFunctional:
     def test_empty_contour_rejected(self):
         S = np.diag([5.0, 6.0])
         contour = spectral.ContourSpec(center=0.0 + 0j, radius=1.0, nodes=64)
-        with pytest.raises(EmptyContourError):
+        with pytest.raises(DomainError, match="encloses no eigenvalue"):
             spectral.contour_functional(S, lambda z: z, np.ones(2), np.ones(2),
                                         contour)
