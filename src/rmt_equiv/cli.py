@@ -95,7 +95,7 @@ _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _COUNT = (lambda v: v >= 1, "must be >= 1")
 _SPHERE_DIM = (lambda v: v >= 2, "must be >= 2 (a sphere dimension)")
-_INT64 = 2.0**63  # sample counts are int64; an int p compares exactly with it
+_INT64 = 2.0**63  # sample counts are int64; an int compares exactly with it
 _ACTIVATION = _member(rf_nn.ACTIVATIONS)
 
 
@@ -130,6 +130,8 @@ def validate(config: ExperimentConfig):
             errors.append(f"{key} must not be empty")
         if not all(np.isfinite(v) for v in vals if isinstance(v, float)):
             errors.append(f"{key} must be finite")
+        if not all(v < _INT64 for v in vals if isinstance(v, int)):  # counts, sizes
+            errors.append(f"{key} must be < 2**63")
     check_errors, warnings_ = entry.check(filled)
     return ExperimentConfig(config.experiment, filled), errors + check_errors, warnings_
 
@@ -217,11 +219,8 @@ def _run_mp(params, out):
 
 def _run_tanh_demo(params, out):
     n, draws = params["n"], params["draws"]
-    rng = np.random.default_rng(params["seed"])
-    y = np.zeros(n)
-    y[0] = 1.0
-    xs = rng.standard_normal((draws, n)) / np.sqrt(n)
-    f_lln = xs @ y
+    # f = x^T y for x ~ N(0, I_n / n) and a unit y is N(0, 1/n)
+    f_lln = np.random.default_rng(params["seed"]).standard_normal(draws) / np.sqrt(n)
     f_clt = np.sqrt(n) * f_lln
     a1 = hk.hermite_coeffs(rf_nn.get_activation("tanh")).a1
     hist_rows = []
@@ -321,8 +320,8 @@ def _run_rf_sweep(params, out):
     n = ytr.size
     gamma, trials = params["gamma"], params["trials"]
     widths = [max(1, int(round(dn * n))) for dn in params["d_over_n"]]
-    # every width's theory on one eigendecomposition of the train kernel; the
-    # kernels and the eigenvectors are freed before the trials, so that they do
+    # every width's theory on one eigendecomposition of the train kernel; it and
+    # the cross block in its basis are freed before the trials, so that they do
     # not add to the trials' peak memory
     kernels = rf_nn.kernel_triplet(Xtr, Xte, act)
     theory = []

@@ -167,7 +167,7 @@ def solve_delta_scm(C_eigenvalues, n, z, tol=1e-12) -> DEFixedPoint:
 def de_resolvents(C_eigenvalues, n, z):
     """Deterministic equivalents of the SCM and Gram resolvents at z.
 
-    Returns the eigenbasis diagonal of (C/(1+delta) - zI)^{-1} together with
+    Returns the diagonal of (C/(1+delta) - zI)^{-1} in the eigenvectors of C and
     the scalar s such that the Gram equivalent is s * I_n, s = -1/(z(1+delta)).
     """
     c_eigs = np.asarray(C_eigenvalues, dtype=float)

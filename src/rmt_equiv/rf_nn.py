@@ -7,7 +7,6 @@ ridgeless theta fixed point with eigendecay scaling laws.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -58,19 +57,13 @@ def get_activation(name) -> ActivationSpec:
 
 @dataclass
 class KernelTriplet:
-    """Train/cross/test blocks of the expected kernel matrix."""
+    """Eigenvalues ``lam`` (clipped at 0) and eigenvectors ``U`` of the train
+    kernel, the cross kernel in their basis and the test kernel's trace."""
 
-    k_train: np.ndarray
-    k_cross: np.ndarray
-    k_test: np.ndarray
-
-    @cached_property
-    def eigenbasis(self):
-        """(lam, U, U^T k_cross): the eigenvalues of ``k_train`` clipped at 0, its
-        eigenvectors and the cross block in their basis. Computed on first use
-        and shared by every ``nn_mse_theory`` call on this triplet."""
-        lam, U = np.linalg.eigh(np.asarray(self.k_train, dtype=float))
-        return np.clip(lam, 0.0, None), U, U.T @ np.asarray(self.k_cross, dtype=float)
+    lam: np.ndarray
+    U: np.ndarray
+    Ukx: np.ndarray
+    test_trace: float
 
 
 @dataclass
@@ -139,12 +132,13 @@ def kernel_expectation(X, X2, act: ActivationSpec):
 
 
 def kernel_triplet(X, X_test, act: ActivationSpec) -> KernelTriplet:
-    """Train, cross and test blocks of the exact expected kernel."""
-    return KernelTriplet(
-        k_train=kernel_expectation(X, X, act),
-        k_cross=kernel_expectation(X, X_test, act),
-        k_test=kernel_expectation(X_test, X_test, act),
-    )
+    """KernelTriplet of the exact expected kernel, from one eigh of its train block."""
+    # test block first, eigh last: each block's transients have at most the
+    # cross block alive beside them
+    test_trace = float(np.trace(kernel_expectation(X_test, X_test, act)))
+    cross = kernel_expectation(X, X_test, act)
+    lam, U = np.linalg.eigh(kernel_expectation(X, X, act))
+    return KernelTriplet(np.clip(lam, 0.0, None), U, U.T @ cross, test_trace)
 
 
 def nonlinear_de_delta(K_eigenvalues, n, d, gamma) -> NonlinearDE:
@@ -175,15 +169,14 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
                 + y^T Q~K~Q~ y / (d - tr(K~Q~K~Q~))
                   * (1/n') [ tr K~_xx - tr( K~_x^T Q~ (I + gamma Q~) K~_x ) ]
 
-    in the eigenbasis of the train block, ``kernels.eigenbasis``, which calls
-    at several widths share. Raises SingularityError if the shared
-    denominator is not positive.
+    in the train block's eigenvectors, which ``kernels`` holds for every width.
+    Raises SingularityError if the shared denominator is not positive.
     """
     y = np.asarray(y, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
-    if len(kernels.k_train) != y.size or len(kernels.k_test) != y_test.size:
+    lam, U, Ukx = kernels.lam, kernels.U, kernels.Ukx
+    if lam.size != y.size or Ukx.shape[1] != y_test.size:
         raise ValueError("kernel blocks inconsistent with target lengths")
-    lam, U, Ukx = kernels.eigenbasis
     de = nonlinear_de_delta(lam, n, d, gamma)
     scale = de.k_tilde_scale
     kt = scale * lam                       # eigenvalues of K~
@@ -204,7 +197,7 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
     n_test = y_test.size
     fit_resid = y_test - scale * (Ukx.T @ (qt * yU))
     # tr K~_x^T Q~ (I + gamma Q~) K~_x, with K~_x = scale U Ukx
-    trace_term = scale * float(np.trace(kernels.k_test)) - scale**2 * float(
+    trace_term = scale * kernels.test_trace - scale**2 * float(
         np.sum(qt * (1.0 + gamma * qt) * np.einsum("ij,ij->i", Ukx, Ukx)))
     e_test = float(fit_resid @ fit_resid) / n_test + (yQKQy / denom) * trace_term / n_test
     return e_train, e_test
@@ -238,9 +231,21 @@ def scaling_law_closed_form(kind, d_over_n, *, alpha=None, beta=None):
     The exponential form is not the large-n/d limit of ``theta_fixed_point``
     for any spectrum fixed in n/d: that theta equals mean(k lam/(k + lam))
     with lam = theta n/d, so it is nondecreasing in n/d and bounded by
-    mean(k), while this form falls towards 0. The spectrum model the form
-    assumes (for instance one that changes with n and d) is not recorded in
-    this repository.
+    mean(k), while this form falls towards 0. What it tracks is a log: on a
+    Pareto(alpha) spectrum, P(k > x) = x^-alpha for x >= 1 (ln k exponential
+    with rate alpha), M = theta n/d grows with n/d and, by the Beta integral
+    int_0^inf u^(alpha-1)/(1 + u) du = pi/sin(pi alpha),
+
+        mean(k/(k + M)) -> alpha (pi/sin(pi alpha)) M^-alpha.
+
+    Setting this to d/n and solving for ln M gives, to leading order,
+
+        (1/alpha) log(n/d)/(n/d) + C_alpha d/n
+            = (d/n) [log(theta n/d) + log(1/alpha)/alpha].
+
+    So the form is d/n times the log of a power-law-tail solution, not theta
+    itself. Whether it is meant as that, or lost an exp on its way to theta,
+    is not recorded in this repository.
     """
     if not 0 < d_over_n < 1:
         raise DomainError("d/n must lie in (0, 1)")

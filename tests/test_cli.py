@@ -304,6 +304,19 @@ class TestRunExperiments:
         assert re.search(rf"\b{key}\b", err), err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("experiment,key", [
+        ("tanh-demo", "n"), ("rf-sweep", "n"), ("kernel-lin", "sizes"),
+        ("ck-depth", "width"), ("dynamics", "n"), ("mp", "bins"),
+        ("ridge-sweep", "trials"), ("ck-depth", "layers"), ("dynamics", "nodes"),
+    ])
+    def test_count_beyond_int64_exit_2_names_key(self, tmp_path, capsys,
+                                                 experiment, key):
+        path = write_config(tmp_path, f"seed = 1\n{key} = {10**20}\n")
+        assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{key} must be < 2\*\*63", err), err
+        assert "Traceback" not in err
+
     def test_non_finite_dataset_exit_2(self, tmp_path, capsys):
         data = write_config(tmp_path, "1,0.5,0.25\n2,nan,0.5\n" * 20, name="nan.csv")
         path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\np = 2\n"

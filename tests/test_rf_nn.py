@@ -227,9 +227,7 @@ class TestNnMseTheory:
 
     def test_train_equals_test_on_same_data(self):
         X, _, y, _ = self._setup()
-        act = rf_nn.get_activation("relu")
-        K = rf_nn.kernel_expectation(X, X, act)
-        kernels = rf_nn.KernelTriplet(K, K, K)
+        kernels = rf_nn.kernel_triplet(X, X, rf_nn.get_activation("relu"))
         e_train, e_test = rf_nn.nn_mse_theory(kernels, y, y, y.size, 32, 0.25)
         assert e_test == pytest.approx(e_train, abs=1e-10)
 
@@ -265,18 +263,21 @@ class TestNnMseTheory:
     def test_widths_share_one_eigendecomposition(self, monkeypatch):
         # oracle: the docstring's formulas with dense K~, Q~ at each width
         X, Xt, y, yt = self._setup(3)
-        kernels = rf_nn.kernel_triplet(X, Xt, rf_nn.get_activation("relu"))
+        act = rf_nn.get_activation("relu")
         n, gamma = y.size, 0.2
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
+        kernels = rf_nn.kernel_triplet(X, Xt, act)
+        assert len(calls) == 1
         got = [rf_nn.nn_mse_theory(kernels, y, yt, n, d, gamma) for d in (12, 48, 96)]
         monkeypatch.undo()
         assert len(calls) == 1
+        blocks = [rf_nn.kernel_expectation(A, B, act)
+                  for A, B in ((X, X), (X, Xt), (Xt, Xt))]
         for d, (e_train, e_test) in zip((12, 48, 96), got):
-            lam = np.clip(np.linalg.eigvalsh(kernels.k_train), 0.0, None)
+            lam = np.clip(np.linalg.eigvalsh(blocks[0]), 0.0, None)
             scale = rf_nn.nonlinear_de_delta(lam, n, d, gamma).k_tilde_scale
-            Kt, Kx, Kxx = (scale * K for K in (kernels.k_train, kernels.k_cross,
-                                              kernels.k_test))
+            Kt, Kx, Kxx = (scale * K for K in blocks)
             Q = np.linalg.inv(Kt + gamma * np.eye(n))
             denom = d - np.trace(Kt @ Q @ Kt @ Q)
             want_train = gamma**2 / n * y @ Q @ (
@@ -374,6 +375,19 @@ class TestScalingLawClosedForm:
         errs = [abs(v - 1 / alpha) for v in vals]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.2  # the residual C_alpha/log(n/d) vanishes only log-slowly
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_exponential_is_the_pareto_log_lead(self, alpha):
+        # the docstring's lead on Pareto(alpha) quantile eigenvalues: the form is
+        # (d/n) [log(theta n/d) + log(1/alpha)/alpha] up to O(M^-alpha) terms
+        u = (np.arange(200_000) + 0.5) / 200_000
+        k = (1.0 - u) ** (-1.0 / alpha)
+        for n_over_d in (10.0, 10**1.5, 100.0):
+            theta = rf_nn.theta_fixed_point(k, 1 / n_over_d)
+            lead = (np.log(theta * n_over_d) + np.log(1 / alpha) / alpha) / n_over_d
+            got = rf_nn.scaling_law_closed_form("exponential", 1 / n_over_d,
+                                                alpha=alpha)
+            assert got == pytest.approx(lead, rel=0.02)
 
     def test_polynomial_power_law_exponent(self):
         beta = 0.5
