@@ -74,9 +74,18 @@ def relu_pair_kernel(gram, norms_a, norms_b):
 
     K[i,j] = (|a_i||b_j| / 2pi) * (sqrt(1-rho^2) + (pi - arccos(rho)) rho),
     with rho the cosine of the angle between columns, clamped to [-1, 1].
+    Computed in place in three result-sized buffers; ``gram`` is not modified.
     """
     scale = norms_a.reshape(-1, 1) * norms_b.reshape(1, -1)
     rho = gram / scale
-    rho = np.minimum(np.maximum(rho, -1.0), 1.0)
+    np.clip(rho, -1.0, 1.0, out=rho)
     ang = np.arccos(rho)
-    return (scale / (2.0 * np.pi)) * (np.sqrt(1.0 - rho * rho) + (np.pi - ang) * rho)
+    np.subtract(np.pi, ang, out=ang)
+    ang *= rho  # (pi - arccos(rho)) rho
+    np.multiply(rho, rho, out=rho)
+    np.subtract(1.0, rho, out=rho)
+    np.sqrt(rho, out=rho)  # sqrt(1 - rho^2)
+    rho += ang
+    scale /= 2.0 * np.pi
+    scale *= rho
+    return scale

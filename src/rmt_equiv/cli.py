@@ -365,7 +365,9 @@ def _run_kernel_lin(params, out):
         X = sphere_dataset(size, size, stream(params["seed"], 0, i, 0))
         K = rf_nn.kernel_expectation(X, X, act)
         Kt = hk.linear_equivalent_kernel(X, coeffs)
-        gap = symmetric_norm(K - Kt) / symmetric_norm(Kt)
+        del X  # not read again: the two norms run one result size lighter
+        K -= Kt
+        gap = symmetric_norm(K) / symmetric_norm(Kt)
         rows.append(_row(size, "linearization_gap", float(gap)))
     write_rows(os.path.join(out, "kernel_lin.csv"), rows)
     return max(r.empirical_mean for r in rows)

@@ -132,7 +132,8 @@ def linear_equivalent_kernel(X, coeffs: HermiteCoeffs):
     """
     entries = as_array(X)
     p, n = entries.shape
-    K = coeffs.a1**2 * (entries.T @ entries)
+    K = entries.T @ entries
+    K *= coeffs.a1**2
     K += coeffs.a0**2 + coeffs.a2**2 / p
     K.flat[::n + 1] += coeffs.nu - coeffs.a0**2 - coeffs.a1**2
     return K

@@ -20,3 +20,11 @@ def mc_kernel_expectation(X, X2, act, m, seed):
         W = rng.standard_normal((min(m - done, 20_000), A.shape[0]))
         out += act.evaluate(W @ A).T @ act.evaluate(W @ B)
     return out / m
+
+
+def relu_pair_kernel_expression(gram, norms_a, norms_b):
+    """The degree-1 arc-cosine kernel as one expression over fresh temporaries,
+    the oracle that the in-place ``_kernels.relu_pair_kernel`` must match bit for bit."""
+    scale = norms_a.reshape(-1, 1) * norms_b.reshape(1, -1)
+    rho = np.minimum(np.maximum(gram / scale, -1.0), 1.0)
+    return (scale / (2.0 * np.pi)) * (np.sqrt(1.0 - rho * rho) + (np.pi - np.arccos(rho)) * rho)

@@ -696,6 +696,18 @@ class TestRunExperiments:
         block = 512 * 1024 * 8
         assert peak <= 1.5 * block, peak / block
 
+    def test_kernel_lin_peak_memory(self, tmp_path):
+        params = {"seed": 5, "sizes": [512], "activation": "relu"}
+        cli._run_kernel_lin(params, str(tmp_path))  # warm-up
+        tracemalloc.start()
+        try:
+            cli._run_kernel_lin(params, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = 512 * 512 * 8
+        assert peak <= 5.5 * result, peak / result
+
     def test_dynamics_small(self, tmp_path):
         path = write_config(tmp_path,
                             "seed = 1\nd = 8\nn = 24\ntimes = 0.0, 0.5, 2.0\n"

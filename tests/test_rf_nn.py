@@ -1,5 +1,7 @@
 """Random-feature networks: features, fits, kernels, DE fixed points, MSE theory."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from rmt_equiv import rf_nn
 from rmt_equiv.errors import DomainError
 from rmt_equiv.randgen import sphere_dataset
 
-from oracles import mc_kernel_expectation
+from oracles import mc_kernel_expectation, relu_pair_kernel_expression
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 
@@ -182,6 +184,47 @@ class TestKernelExpectation:
         act = rf_nn.ActivationSpec("abs", np.abs, np.sign)
         with pytest.raises(DomainError, match="abs"):
             rf_nn.kernel_expectation(X, X, act)
+
+
+class TestReluPairKernel:
+    @staticmethod
+    def assert_matches_expression(A, B):
+        gram = A.T @ B
+        norms_a, norms_b = np.linalg.norm(A, axis=0), np.linalg.norm(B, axis=0)
+        before = gram.copy()
+        K = _kernels.relu_pair_kernel(gram, norms_a, norms_b)
+        assert np.array_equal(K, relu_pair_kernel_expression(gram, norms_a, norms_b))
+        assert np.array_equal(gram, before)
+
+    def test_clamped_parallel_and_antiparallel_columns(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal(7)
+        A = np.column_stack([a, 3.0 * a, -a, -0.7 * a, rng.standard_normal(7)])
+        norms = np.linalg.norm(A, axis=0)
+        rho = A.T @ A / np.outer(norms, norms)
+        assert rho.max() > 1.0 and rho.min() < -1.0  # the clamp is exercised
+        self.assert_matches_expression(A, A)
+
+    def test_cross_block(self):
+        # the rectangular train x test block that kernel_triplet forms
+        X, X_test = sphere_dataset(48, 96, 3), sphere_dataset(48, 80, 4)
+        self.assert_matches_expression(X.entries, X_test.entries)
+
+    def test_random_gram(self):
+        X = sphere_dataset(256, 1024, 5)
+        self.assert_matches_expression(X.entries, X.entries)
+
+    def test_peak_memory_three_results(self):
+        A = sphere_dataset(64, 512, 6).entries
+        gram, norms = A.T @ A, np.linalg.norm(A, axis=0)
+        _kernels.relu_pair_kernel(gram, norms, norms)  # warm-up
+        tracemalloc.start()
+        try:
+            _kernels.relu_pair_kernel(gram, norms, norms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * gram.nbytes, peak / gram.nbytes
 
 
 class TestNonlinearDeDelta:
