@@ -393,12 +393,13 @@ def _run_ck_depth(params, out):
                  _row(layer, "distance_to_identity", symmetric_norm(Kt - eye),
                       float("nan"))]
     # empirical two-layer CK at the requested width; each layer's draw (role 0,
-    # then role 1) has its own stream. The width x n layers are temporaries,
-    # freed as soon as the next one is formed
-    P2 = act.evaluate(_second_layer(
-        act.evaluate(stream(params["seed"], 0, 0, 0).standard_normal((width, p))
-                     @ X.entries),
-        stream(params["seed"], 1, 0, 0)))
+    # then role 1) has its own stream. Each width x n layer is activated in
+    # place on its product, and P1 is freed as soon as P2 is formed
+    P1 = stream(params["seed"], 0, 0, 0).standard_normal((width, p)) @ X.entries
+    act.evaluate(P1, out=P1)
+    P2 = _second_layer(P1, stream(params["seed"], 1, 0, 0))
+    del P1
+    act.evaluate(P2, out=P2)
     K2t = hk.ck_linear_equivalent(X, alphas, 2)
     gap = symmetric_norm(P2.T @ P2 / width - K2t) / symmetric_norm(K2t)
     rows.append(_row(2, "empirical_ck_gap", float(gap)))

@@ -120,8 +120,14 @@ def normalize_activation(act):
         )
     shift, scale = c.a0, np.sqrt(var)
     phi, dphi = act.evaluate, act.derivative
-    return replace(act, name=f"{act.name}-normalized",
-                   evaluate=lambda t: (phi(t) - shift) / scale,
+
+    def evaluate(t, out=None):
+        # (phi(t) - shift) / scale; phi may take one argument when out is None
+        out = np.subtract(phi(t) if out is None else phi(t, out=out), shift, out=out)
+        out /= scale
+        return out
+
+    return replace(act, name=f"{act.name}-normalized", evaluate=evaluate,
                    derivative=lambda t: dphi(t) / scale)
 
 

@@ -1,6 +1,7 @@
 """Shared experiment result record and the package's one CSV writer."""
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -34,6 +35,10 @@ class ResultRow:
                    status=status)
 
 
+#: a ResultRow's fields as a tuple, in CSV_HEADER order (no deep copy, unlike astuple)
+_row_values = attrgetter(*(f.name for f in fields(ResultRow)))
+
+
 def _field(value):
     if isinstance(value, str):
         return value
@@ -58,4 +63,4 @@ def write_csv(path, header, rows):
 def write_rows(path, rows):
     """Write ResultRows sorted by (gamma, ratio, metric)."""
     ordered = sorted(rows, key=lambda r: (r.gamma, r.ratio, r.metric))
-    return write_csv(path, CSV_HEADER, map(astuple, ordered))
+    return write_csv(path, CSV_HEADER, map(_row_values, ordered))

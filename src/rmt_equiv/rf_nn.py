@@ -26,7 +26,13 @@ MEHLER_TAIL_TOL = 1e-6
 
 @dataclass
 class ActivationSpec:
-    """Entrywise activation with its (possibly a.e.) derivative."""
+    """Entrywise activation with its (possibly a.e.) derivative.
+
+    ``evaluate(t, out=None)`` follows numpy's ``out=`` convention: with an
+    ``out`` array (which may be ``t`` itself) it writes phi(t) there and
+    returns it. A one-argument ``evaluate`` serves every caller that passes no
+    ``out``; ``rf_features`` passes one.
+    """
 
     name: str
     evaluate: callable
@@ -38,9 +44,12 @@ def _step(t):
 
 
 ACTIVATIONS = {
-    "identity": ActivationSpec("identity", lambda t: np.asarray(t, dtype=float),
+    # t * 1.0 is t exactly, and a float even for integer t
+    "identity": ActivationSpec("identity",
+                               lambda t, out=None: np.multiply(t, 1.0, out=out),
                                lambda t: np.ones_like(np.asarray(t, dtype=float))),
-    "relu": ActivationSpec("relu", lambda t: np.maximum(t, 0.0), _step),
+    "relu": ActivationSpec("relu", lambda t, out=None: np.maximum(t, 0.0, out=out),
+                           _step),
     "tanh": ActivationSpec("tanh", np.tanh,
                            lambda t: 1.0 / np.cosh(np.asarray(t, dtype=float)) ** 2),
     "sign": ActivationSpec("sign", np.sign,
@@ -77,12 +86,14 @@ class NonlinearDE:
 
 
 def rf_features(W, X, act: ActivationSpec):
-    """Entrywise activation of W X (features in rows, samples in columns)."""
+    """Entrywise activation of W X (features in rows, samples in columns),
+    evaluated in place on the product."""
     W = np.asarray(W, dtype=float)
     entries = as_array(X)
     if W.shape[1] != entries.shape[0]:
         raise ValueError(f"inner dimensions disagree: {W.shape} @ {entries.shape}")
-    return act.evaluate(W @ entries)
+    F = W @ entries
+    return act.evaluate(F, out=F)
 
 
 def rf_fit(features, y, gamma):

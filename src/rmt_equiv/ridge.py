@@ -201,23 +201,39 @@ def draw_bidiagonal(spec: SweepSpec, n, point_index):
 
 def _tridiagonal_solve(d, e, r):
     """x with T x = r, for T symmetric positive definite tridiagonal with
-    diagonal d and off-diagonal e, by T = L D L^T (Thomas' sweep; stable
-    without pivoting for SPD T). Each array runs along its last axis; leading
-    axes are independent systems, solved together."""
+    diagonal d and off-diagonal e, by odd-even cyclic reduction (Heller, SIAM
+    J. Numer. Anal. 13, 1976). Each array runs along its last axis; leading
+    axes are independent systems, solved together.
+
+    A level of odd size 2k + 1 eliminates its k + 1 even-indexed unknowns: each
+    odd row meets only the even rows on either side, so the k odd unknowns
+    solve a symmetric tridiagonal Schur complement, and the evens follow from
+    their own rows. An even size is first padded with the identity equation
+    x_m = 0. This is Gaussian elimination on a symmetric permutation of T,
+    which is SPD, so it is stable without pivoting; it takes about log2(m)
+    levels of whole-array operations.
+    """
     m = d.shape[-1]
-    # the sweep walks the first axis, so each step reads one contiguous row
-    d = np.moveaxis(d, -1, 0).copy()
-    e = np.moveaxis(e, -1, 0)
-    x = np.moveaxis(r, -1, 0).copy()
-    l = np.empty_like(e)
-    for i in range(1, m):
-        l[i - 1] = e[i - 1] / d[i - 1]
-        d[i] -= l[i - 1] * e[i - 1]
-        x[i] -= l[i - 1] * x[i - 1]
-    x[m - 1] /= d[m - 1]
-    for i in range(m - 2, -1, -1):
-        x[i] = x[i] / d[i] - l[i] * x[i + 1]
-    return np.moveaxis(x, 0, -1)
+    if m == 1:
+        return r / d
+    if m % 2 == 0:
+        one, zero = np.ones_like(d[..., :1]), np.zeros_like(d[..., :1])
+        d = np.concatenate([d, one], axis=-1)
+        e = np.concatenate([e, zero], axis=-1)
+        r = np.concatenate([r, zero], axis=-1)
+    # odd row i: e[i-1] x[i-1] + d[i] x[i] + e[i] x[i+1] = r[i]
+    lo = e[..., 0::2] / d[..., :-1:2]  # e[i-1] / d[i-1]
+    hi = e[..., 1::2] / d[..., 2::2]  # e[i] / d[i+1]
+    x_odd = _tridiagonal_solve(d[..., 1::2] - lo * e[..., 0::2] - hi * e[..., 1::2],
+                               -hi[..., :-1] * e[..., 2::2],
+                               r[..., 1::2] - lo * r[..., :-1:2] - hi * r[..., 2::2])
+    # even row j: x[j] = (r[j] - e[j-1] x[j-1] - e[j] x[j+1]) / d[j]
+    x = r.copy()
+    x[..., 1::2] = x_odd
+    x[..., 2::2] -= e[..., 1::2] * x_odd
+    x[..., :-1:2] -= e[..., 0::2] * x_odd
+    x[..., 0::2] /= d[..., 0::2]
+    return x[..., :m]
 
 
 def bidiagonal_risks(a, s, b, z, n, gamma, sigma2):

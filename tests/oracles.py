@@ -28,3 +28,38 @@ def relu_pair_kernel_expression(gram, norms_a, norms_b):
     scale = norms_a.reshape(-1, 1) * norms_b.reshape(1, -1)
     rho = np.minimum(np.maximum(gram / scale, -1.0), 1.0)
     return (scale / (2.0 * np.pi)) * (np.sqrt(1.0 - rho * rho) + (np.pi - np.arccos(rho)) * rho)
+
+
+#: the allocating expressions of the built-in activations, the oracles that
+#: their ``out=`` forms must match bit for bit
+ACTIVATION_EXPRESSIONS = {
+    "identity": lambda t: np.asarray(t, dtype=float),
+    "relu": lambda t: np.maximum(t, 0.0),
+    "tanh": np.tanh,
+    "sign": np.sign,
+}
+
+
+def normalized_expression(phi, shift, scale):
+    """t -> (phi(t) - shift) / scale over fresh temporaries, the oracle of the
+    activation that ``hermite_kernels.normalize_activation`` returns."""
+    return lambda t: (phi(t) - shift) / scale
+
+
+def thomas_solve(d, e, r):
+    """x with T x = r for T SPD tridiagonal (diagonal d, off-diagonal e) by
+    Thomas' sweep T = L D L^T, one row at a time; leading axes are independent
+    systems. The reference of ``ridge._tridiagonal_solve``."""
+    m = d.shape[-1]
+    d = np.moveaxis(d, -1, 0).copy()
+    e = np.moveaxis(e, -1, 0)
+    x = np.moveaxis(r, -1, 0).copy()
+    l = np.empty_like(e)
+    for i in range(1, m):
+        l[i - 1] = e[i - 1] / d[i - 1]
+        d[i] -= l[i - 1] * e[i - 1]
+        x[i] -= l[i - 1] * x[i - 1]
+    x[m - 1] /= d[m - 1]
+    for i in range(m - 2, -1, -1):
+        x[i] = x[i] / d[i] - l[i] * x[i + 1]
+    return np.moveaxis(x, 0, -1)

@@ -12,7 +12,7 @@ from rmt_equiv import rf_nn
 from rmt_equiv.errors import DomainError
 from rmt_equiv.randgen import sphere_dataset
 
-from oracles import mc_kernel_expectation
+from oracles import mc_kernel_expectation, normalized_expression
 
 SQRT2PI = np.sqrt(2 * np.pi)
 
@@ -176,6 +176,27 @@ class TestNormalizeActivation:
                 hk.normalize_activation(rf_nn.get_activation(name)))
             assert abs(c.a0) <= 1e-10
             assert abs(c.nu - 1.0) <= 1e-10
+
+    def test_out_form_matches_allocating_expression(self):
+        tanh = rf_nn.get_activation("tanh")
+        c = hk.hermite_coeffs(tanh)
+        want = normalized_expression(np.tanh, c.a0, np.sqrt(c.nu - c.a0**2))
+        t = 2.0 * np.random.default_rng(4).standard_normal((40, 25))
+        norm = hk.normalize_activation(tanh)
+        assert np.array_equal(norm.evaluate(t), want(t))
+        out = t.copy()
+        assert norm.evaluate(out, out=out) is out
+        assert np.array_equal(out, want(t))
+
+    def test_one_argument_custom_activation(self):
+        cube = rf_nn.ActivationSpec("cube", lambda t: t**3, lambda t: 3 * t**2)
+        norm = hk.normalize_activation(cube)
+        c = hk.hermite_coeffs(cube)
+        t = np.linspace(-2, 2, 17)
+        want = normalized_expression(cube.evaluate, c.a0, np.sqrt(c.nu - c.a0**2))
+        assert np.array_equal(norm.evaluate(t), want(t))
+        c = hk.hermite_coeffs(norm)
+        assert abs(c.a0) <= 1e-10 and abs(c.nu - 1.0) <= 1e-10
 
     def test_constant_activation_rejected(self):
         const = rf_nn.ActivationSpec("const", lambda t: np.ones_like(t),

@@ -13,7 +13,8 @@ from rmt_equiv import rf_nn
 from rmt_equiv.errors import DomainError
 from rmt_equiv.randgen import sphere_dataset
 
-from oracles import mc_kernel_expectation, relu_pair_kernel_expression
+from oracles import (ACTIVATION_EXPRESSIONS, mc_kernel_expectation,
+                     relu_pair_kernel_expression)
 
 GOLDEN = (np.sqrt(5) - 1) / 2
 
@@ -42,6 +43,35 @@ class TestRfFeatures:
         with pytest.raises(ValueError):
             rf_nn.rf_features(np.ones((2, 3)), np.ones((4, 5)),
                               rf_nn.get_activation("relu"))
+
+    @pytest.mark.parametrize("name", ["relu", "tanh", "sign"])
+    def test_peak_memory_one_result(self, name):
+        rng = np.random.default_rng(3)
+        W, X = rng.standard_normal((512, 64)), rng.standard_normal((64, 256))
+        act = rf_nn.get_activation(name)
+        rf_nn.rf_features(W, X, act)  # warm-up
+        tracemalloc.start()
+        try:
+            rf_nn.rf_features(W, X, act)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = 512 * 256 * 8
+        assert peak <= 1.1 * result, peak / result
+
+
+class TestActivations:
+    @pytest.mark.parametrize("name", sorted(ACTIVATION_EXPRESSIONS))
+    def test_out_form_matches_allocating_expression(self, name):
+        t = 3.0 * np.random.default_rng(2).standard_normal((64, 33))
+        t[0, :5] = [0.0, -0.0, 1e-310, -1e-310, 40.0]
+        before, want = t.copy(), ACTIVATION_EXPRESSIONS[name](t)
+        act = rf_nn.get_activation(name)
+        assert np.array_equal(act.evaluate(t), want)
+        assert np.array_equal(t, before)
+        out = t.copy()
+        assert act.evaluate(out, out=out) is out
+        assert np.array_equal(out, want)
 
 
 class TestRfFit:

@@ -12,6 +12,8 @@ from rmt_equiv.randgen import (DataMatrix, GroundTruth, gaussian_matrix, linear_
                                stream)
 from rmt_equiv.results import ResultRow
 
+from oracles import thomas_solve
+
 EPS = np.finfo(float).eps
 
 
@@ -25,6 +27,15 @@ def eigh_min_norm(A, y):
     if p <= n:
         return U @ ((U.T @ (A @ y)) / lam)
     return A @ (U @ ((U.T @ y) / lam))
+
+
+def spd_tridiagonal(rng, lead, m, gamma):
+    """Diagonal and off-diagonal of B B^T + gamma I for a random m x m
+    lower-bidiagonal B, one per index of the leading shape ``lead``."""
+    a, s = rng.standard_normal(lead + (m,)), rng.standard_normal(lead + (m - 1,))
+    d = a * a
+    d[..., 1:] += s * s
+    return d + gamma, a[..., :-1] * s
 
 
 def chi_draw_one_trial(spec, n, point, trial):
@@ -374,6 +385,54 @@ class TestSweep:
         rows = ridge.sweep_double_descent(spec)
         assert all(r.status == "peak" for r in rows)
         assert all(np.isnan(r.theory) for r in rows)
+
+
+class TestTridiagonalSolve:
+    SIZES = [1, 2, 3, 4, 7, 8, 9, 511, 512, 513]
+
+    @pytest.mark.parametrize("m", SIZES)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+    def test_matches_dense_solve(self, m, lead):
+        rng = np.random.default_rng(m)
+        d, e = spd_tridiagonal(rng, lead, m, 0.1)
+        r = rng.standard_normal(lead + (m,))
+        x = ridge._tridiagonal_solve(d, e, r)
+        assert x.shape == r.shape
+        T, i = np.zeros(lead + (m, m)), np.arange(m)
+        T[..., i, i] = d
+        T[..., i[:-1], i[1:]] = T[..., i[1:], i[:-1]] = e
+        x_norm = np.linalg.norm(x, axis=-1)
+        resid = np.linalg.norm((T @ x[..., None])[..., 0] - r, axis=-1)
+        assert np.all(resid <= 4 * EPS * np.linalg.norm(T, 2, axis=(-2, -1)) * x_norm)
+        want = np.linalg.solve(T, r[..., None])[..., 0]
+        err = np.linalg.norm(x - want, axis=-1)
+        assert np.all(err <= 4 * EPS * np.linalg.cond(T) * x_norm)
+
+    @pytest.mark.parametrize("m", SIZES)
+    def test_batched_equals_per_system(self, m):
+        rng = np.random.default_rng(100 + m)
+        d, e = spd_tridiagonal(rng, (2, 5), m, 0.1)
+        r = rng.standard_normal((2, 5, m))
+        x = ridge._tridiagonal_solve(d, e, r)
+        for idx in np.ndindex(2, 5):
+            assert np.array_equal(ridge._tridiagonal_solve(d[idx], e[idx], r[idx]),
+                                  x[idx])
+
+    def test_matches_thomas_sweep_on_the_square_sampler_system(self):
+        # m = n = 512 at gamma = 1e-5, the worst-conditioned system of the
+        # shipped sweep (cond ~ 4e5), built as bidiagonal_risks builds it
+        n, gamma = 512, 1e-5
+        spec = ridge.SweepSpec(ratios=[1.0], gammas=[gamma], trials=8, p=n, seed=7)
+        a, s, b, z = ridge.draw_bidiagonal(spec, n, 0)
+        d = a * a
+        d[:, 1:] += s * s
+        d = d / n + gamma
+        Bz = a * z
+        Bz[:, 1:] += s * z[:, :-1]
+        e, r = a[:, :-1] * s / n, np.sqrt(0.1) / n * Bz - gamma * b
+        x, want = ridge._tridiagonal_solve(d, e, r), thomas_solve(d, e, r)
+        rel = np.linalg.norm(x - want, axis=1) / np.linalg.norm(want, axis=1)
+        assert rel.max() <= 1e-10, rel.max()
 
 
 class TestBidiagonalSampler:
