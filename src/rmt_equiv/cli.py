@@ -293,8 +293,8 @@ def _rf_data(params):
         if zero.size:
             raise DatasetError(f"dataset {params['dataset']}: filtered sample "
                                f"{zero[0]} (0-based) is all zeros")
-        Xtr = DataMatrix(X_all.entries[:, :n], dict(X_all.meta))
-        Xte = DataMatrix(X_all.entries[:, n:n + n_test], dict(X_all.meta))
+        Xtr = DataMatrix(X_all.entries[:, :n])
+        Xte = DataMatrix(X_all.entries[:, n:n + n_test])
         return Xtr, y_all[:n], Xte, y_all[n:n + n_test]
     seed = params["seed"]
     Xtr = sphere_dataset(p, n, stream(seed, RF_TRAIN, 0, 0))

@@ -19,7 +19,8 @@ Matrix exponentials go through the symmetric eigendecomposition, never series.
 """
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -167,4 +168,5 @@ def contour_beta_projection(v, features, y, beta0, eta, t, contour: ContourSpec)
 
 def write_trajectory(path, samples):
     """CSV serialization: t,loss,projection (projection column empty if absent)."""
-    return write_csv(path, "t,loss,projection", map(astuple, samples))
+    return write_csv(path, "t,loss,projection",
+                     map(attrgetter("t", "loss", "projection"), samples))

@@ -4,7 +4,7 @@ All generators are pure functions of their arguments (including the seed), so
 identical calls produce bitwise-identical output.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,14 +13,9 @@ from .errors import DatasetError
 
 @dataclass
 class DataMatrix:
-    """Real p x n matrix whose columns are samples, plus generation metadata.
-
-    meta carries a distribution tag and a normalization tag ('none',
-    'unit-sphere' or 'global-spectral').
-    """
+    """Real p x n matrix whose columns are samples."""
 
     entries: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=float)
@@ -34,18 +29,6 @@ class DataMatrix:
     @property
     def n(self):
         return self.entries.shape[1]
-
-    def validate(self):
-        """Check the invariants promised by the normalization tag."""
-        tag = self.meta.get("normalization", "none")
-        if tag == "unit-sphere":
-            norms = np.linalg.norm(self.entries, axis=0)
-            if np.abs(norms - 1.0).max() > 1e-12:
-                raise ValueError("unit-sphere tag but column norms deviate from 1")
-        elif tag == "global-spectral":
-            if np.linalg.norm(self.entries, 2) > 1.0 + 1e-10:
-                raise ValueError("global-spectral tag but spectral norm exceeds 1")
-        return self
 
 
 def as_array(X):
@@ -83,8 +66,7 @@ def gaussian_matrix(rows, cols, variance, seed) -> DataMatrix:
     entries = np.random.default_rng(seed).standard_normal((rows, cols))
     if variance != 1:
         entries *= np.sqrt(variance)
-    return DataMatrix(entries, {"distribution": "gaussian", "normalization": "none",
-                                "variance": variance})
+    return DataMatrix(entries)
 
 
 def stream(seed, role, point, trial):
@@ -110,7 +92,7 @@ def rademacher_matrix(rows, cols, seed) -> DataMatrix:
     _check_dims(rows, cols)
     rng = np.random.default_rng(seed)
     entries = rng.integers(0, 2, size=(rows, cols)).astype(float) * 2.0 - 1.0
-    return DataMatrix(entries, {"distribution": "rademacher", "normalization": "none"})
+    return DataMatrix(entries)
 
 
 def sphere_dataset(p, n, seed) -> DataMatrix:
@@ -126,7 +108,7 @@ def sphere_dataset(p, n, seed) -> DataMatrix:
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal((p, n))
     entries /= np.linalg.norm(entries, axis=0)
-    return DataMatrix(entries, {"distribution": "sphere", "normalization": "unit-sphere"})
+    return DataMatrix(entries)
 
 
 def linear_targets(X: DataMatrix, truth: GroundTruth, seed) -> np.ndarray:
@@ -203,8 +185,7 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
     if not cols:
         raise DatasetError(f"no rows with labels {labels_keep} in {path}")
     entries = np.stack(cols, axis=1)
-    # generated data is finite by construction; outside data is checked here,
-    # before a NaN can pass the normalization checks unseen
+    # unlike generated data, a file may hold a NaN, which the zero-column check misses
     if not np.all(np.isfinite(entries)):
         raise ValueError("entries must all be finite")
     entries = _apply_normalization(entries, normalization)
@@ -213,6 +194,4 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
         y = np.array([-1.0 if lab == lo else 1.0 for lab in labels])
     else:
         y = np.ones(len(labels))
-    X = DataMatrix(entries, {"distribution": "file", "normalization": normalization,
-                             "path": str(path)})
-    return X.validate(), y
+    return DataMatrix(entries), y

@@ -251,8 +251,8 @@ def test_criterion_10_optional_mnist_reproduction():
     X_all, y_all = ingest_dataset(MNIST_PATH, {1.0, 2.0}, "unit-sphere")
     n = n_test = 1024
     from rmt_equiv.randgen import DataMatrix
-    Xtr = DataMatrix(X_all.entries[:, :n], dict(X_all.meta))
-    Xte = DataMatrix(X_all.entries[:, n:n + n_test], dict(X_all.meta))
+    Xtr = DataMatrix(X_all.entries[:, :n])
+    Xte = DataMatrix(X_all.entries[:, n:n + n_test])
     kernels = rf_nn.kernel_triplet(Xtr, Xte, rf_nn.get_activation("relu"))
     _, th_te = rf_nn.nn_mse_theory(kernels, y_all[:n], y_all[n:n + n_test],
                                    n, 2 * n, 0.1)

@@ -108,7 +108,6 @@ class TestSphereDataset:
     def test_unit_norms(self):
         X = randgen.sphere_dataset(16, 40, 0)
         assert np.abs(np.linalg.norm(X.entries, axis=0) - 1.0).max() < 1e-12
-        assert X.meta["normalization"] == "unit-sphere"
 
     def test_mean_inner_product(self):
         X = randgen.sphere_dataset(512, 256, 1)
@@ -126,13 +125,6 @@ class TestSphereDataset:
     def test_dimension_check(self):
         with pytest.raises(ValueError):
             randgen.sphere_dataset(1, 5, 0)
-
-    def test_validate_checks_normalization_tag(self):
-        X = randgen.sphere_dataset(8, 5, 0)
-        X.validate()
-        X.entries[0, 0] += 1e-6  # break the unit-norm promise
-        with pytest.raises(ValueError):
-            X.validate()
 
 
 class TestLinearTargets:
@@ -178,15 +170,24 @@ class TestIngestDataset:
         X, y = randgen.ingest_dataset(path, {1, 2}, "none")
         assert np.array_equal(y, [1.0, -1.0, 1.0])
 
+    def _random_rows(self, tmp_path):
+        # 60 samples of 12 features whose scales span 1e-3 to 1e3, written
+        # with every digit, so the normalization's rounding is exercised
+        rng = np.random.default_rng(11)
+        feats = rng.standard_normal((60, 12)) * np.logspace(-3, 3, 12)
+        return self._write(tmp_path, "".join(
+            "1," + ",".join(map(repr, row)) + "\n" for row in feats.tolist()), "random.csv")
+
     def test_unit_sphere_normalization(self, tmp_path):
-        path = self._write(tmp_path, "1,3,4\n1,1,1\n")
-        X, _ = randgen.ingest_dataset(path, {1}, "unit-sphere")
-        assert np.abs(np.linalg.norm(X.entries, axis=0) - 1.0).max() < 1e-12
+        for path in (self._write(tmp_path, "1,3,4\n1,1,1\n"), self._random_rows(tmp_path)):
+            X, _ = randgen.ingest_dataset(path, {1}, "unit-sphere")
+            assert np.abs(np.linalg.norm(X.entries, axis=0) - 1.0).max() < 1e-12
 
     def test_global_spectral_normalization(self, tmp_path):
-        path = self._write(tmp_path, "1,3,4\n1,1,1\n1,0,2\n")
-        X, _ = randgen.ingest_dataset(path, {1}, "global-spectral")
-        assert np.linalg.norm(X.entries, 2) <= 1 + 1e-10
+        for path in (self._write(tmp_path, "1,3,4\n1,1,1\n1,0,2\n"),
+                     self._random_rows(tmp_path)):
+            X, _ = randgen.ingest_dataset(path, {1}, "global-spectral")
+            assert np.linalg.norm(X.entries, 2) <= 1 + 1e-10
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -203,7 +204,7 @@ class TestIngestDataset:
             randgen.ingest_dataset(path, {9})
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("normalization", ["none", "unit-sphere"])
+    @pytest.mark.parametrize("normalization", ["none", "unit-sphere", "global-spectral"])
     def test_non_finite_feature_rejected(self, tmp_path, value, normalization):
         path = self._write(tmp_path, f"1,0.5,0.5\n1,{value},3\n")
         with pytest.raises(ValueError, match="entries must all be finite"):
