@@ -389,7 +389,7 @@ def _run_ck_depth(params, out):
     eye = np.eye(n)
     for layer in range(L + 1):
         Kt = hk.ck_linear_equivalent(X, alphas, layer)
-        rows += [_row(layer, "alpha1", alphas.alphas[layer][0], float("nan")),
+        rows += [_row(layer, "alpha1", alphas[layer][0], float("nan")),
                  _row(layer, "distance_to_identity", symmetric_norm(Kt - eye),
                       float("nan"))]
     # empirical two-layer CK at the requested width; each layer's draw (role 0,

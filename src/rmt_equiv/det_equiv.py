@@ -1,16 +1,18 @@
 """Marchenko-Pastur transform/density and deterministic-equivalent fixed points
 for sample-covariance and Gram resolvents.
 
-The MP Stieltjes transform m(z) solves the quadratic
+The MP Stieltjes transform m(z) is the root of the quadratic
 
-    c z m^2 - (1 - c - z) m + 1 = 0,
+    c z m^2 - (1 - c - z) m + 1 = 0
 
-with the root selected by the Stieltjes axioms (Im z * Im m > 0 off the real
-axis; positive real values for real z < 0). The general-covariance fixed point
+that the Stieltjes axioms select (Im z * Im m > 0 off the real axis, m ~ -1/z
+at infinity); ``mp_stieltjes`` evaluates that branch in closed form, real and
+complex z alike. The general-covariance fixed point
 delta(z) = (1/n) tr( (C/(1+delta) - zI)^{-1} C ) is solved by damped fixed-point
 iteration; for C = I it reduces to delta = (p/n) m(z).
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,47 +49,29 @@ class DEFixedPoint:
     iterations: int
 
 
-def _quadratic_roots(c, z):
-    # c z m^2 - (1-c-z) m + 1 = 0, numerically stable form
-    A = c * z
-    B = -(1.0 - c - z)
-    C = 1.0
-    disc = np.sqrt(complex(B * B - 4.0 * A * C))
-    # avoid cancellation: q = -(B + sign(B) disc)/2 with complex "sign" choice
-    if (np.conj(B) * disc).real >= 0:
-        q = -0.5 * (B + disc)
-    else:
-        q = -0.5 * (B - disc)
-    return q / A, C / q
-
-
 def mp_stieltjes(c, z):
-    """Stieltjes transform of the MP law at z off the support.
+    """Stieltjes transform of the MP law at z off the support [E-, E+] (and 0).
 
-    Root selection: for Im z != 0 take the root in the same half-plane; for
-    real z the root continuous with the upper-half-plane limit.
+    m(z) = (b + R) / (2 c z) = 2 / (b - R),  b = 1 - c - z,
+    R(z) = sqrt(z - E-) sqrt(z - E+) with both square roots principal. R is
+    analytic off [E-, E+] and R ~ z at infinity, so this is the Stieltjes branch
+    at every z off the support, and on the real axis it is the limit from
+    above. Of the two equal forms the one without cancellation is evaluated.
+    Returns a float for real z.
     """
     if not c > 0:
         raise ValueError("ratio c must be positive")
     z = complex(z)
-    params = MPParams.from_ratio(c)
-    lo, hi = params.edges
-    if z.imag == 0.0:
-        x = z.real
-        if x == 0.0 or (lo <= x <= hi):
-            raise DomainError(f"z={x} lies in the MP support for c={c}")
-        # continuity from above: pick the real root nearest the m(x + i eps) branch
-        probe = mp_stieltjes(c, complex(x, 1e-9 * max(1.0, abs(x))))
-        r1, r2 = _quadratic_roots(c, z)
-        root = min((r1, r2), key=lambda r: abs(r - probe))
-        m = complex(root).real
-    else:
-        r1, r2 = _quadratic_roots(c, z)
-        m = r1 if (r1.imag * z.imag) > 0 else r2
-    resid = abs(c * z * m * m - (1 - c - z) * m + 1.0)
-    if resid > 1e-12 * max(1.0, abs(m)) :
+    lo, hi = MPParams.from_ratio(c).edges
+    if z.imag == 0.0 and (z.real == 0.0 or lo <= z.real <= hi):
+        raise DomainError(f"z={z.real} lies in the MP support for c={c}")
+    b = 1.0 - c - z
+    R = cmath.sqrt(z - lo) * cmath.sqrt(z - hi)
+    m = (b + R) / (2.0 * c * z) if abs(b + R) >= abs(b - R) else 2.0 / (b - R)
+    resid = abs(c * z * m * m - b * m + 1.0)
+    if resid > 1e-12 * max(1.0, abs(m)):
         raise ArithmeticError(f"MP quadratic residual {resid:.2e} too large")
-    return m
+    return float(m.real) if z.imag == 0.0 else m
 
 
 def mp_density(c, x):

@@ -39,13 +39,6 @@ class HermiteCoeffs:
     nu: float
 
 
-@dataclass
-class CKLayerParams:
-    """Per-layer (alpha_1, alpha_2) pairs of the CK linearization, layer 0 = (1, 0)."""
-
-    alphas: list
-
-
 def hermite_table(degree, t):
     """Normalized Hermite polynomials He_0(t) .. He_degree(t), stacked on axis 0,
     by the recurrence He_{k+1} = (t He_k - sqrt(k) He_{k-1}) / sqrt(k+1)."""
@@ -145,8 +138,8 @@ def linear_equivalent_kernel(X, coeffs: HermiteCoeffs):
     return K
 
 
-def ck_alphas(activations) -> CKLayerParams:
-    """CK linearization parameters across layers.
+def ck_alphas(activations):
+    """Per-layer (alpha_1, alpha_2) pairs of the CK linearization, layer 0 = (1, 0).
 
     alpha_{l,1} = a_{l;1} alpha_{l-1,1},
     alpha_{l,2} = sqrt(a_{l;1}^2 alpha_{l-1,2}^2 + a_{l;2}^2 alpha_{l-1,1}^4),
@@ -166,18 +159,19 @@ def ck_alphas(activations) -> CKLayerParams:
             c.a1 * a1_prev,
             float(np.sqrt(c.a1**2 * a2_prev**2 + c.a2**2 * a1_prev**4)),
         ))
-    return CKLayerParams(alphas=alphas)
+    return alphas
 
 
-def ck_linear_equivalent(X, layer_params: CKLayerParams, layer):
-    """Linear equivalent of the depth-``layer`` CK matrix on sphere data.
+def ck_linear_equivalent(X, alphas, layer):
+    """Linear equivalent of the depth-``layer`` CK matrix on sphere data, for
+    the per-layer pairs ``alphas`` of ``ck_alphas``.
 
     K~_l = alpha_{l,1}^2 X^T X + alpha_{l,2}^2 (1/p) 11^T + (1 - alpha_{l,1}^2) I,
     the linear-equivalent kernel of coefficients (0, alpha_{l,1}, alpha_{l,2}, 1).
     """
-    if not 0 <= layer < len(layer_params.alphas):
+    if not 0 <= layer < len(alphas):
         raise ValueError(f"layer {layer} out of range")
-    a1, a2 = layer_params.alphas[layer]
+    a1, a2 = alphas[layer]
     return linear_equivalent_kernel(X, HermiteCoeffs(0.0, a1, a2, 1.0))
 
 

@@ -60,6 +60,22 @@ class TestMPStieltjes:
         m = det_equiv.mp_stieltjes(0.25, 0.1)
         assert m.real > 0 and m.imag == 0
 
+    @pytest.mark.parametrize("c, x", [
+        (c, x) for c in (0.25, 1.0, 4.0)
+        for x in (-3.0, -1e-3, 1.5 * det_equiv.MPParams.from_ratio(c).edges[1], 40.0)
+    ] + [(0.25, 0.1)])
+    def test_real_axis_value_is_the_transform(self, c, x):
+        # both roots of the quadratic are real here, so the residual cannot tell
+        # them apart; the oracle is the defining integral of the law, the
+        # c > 1 atom at 0 included, and the limit from the upper half-plane
+        params = det_equiv.MPParams.from_ratio(c)
+        bulk, _ = integrate.quad(lambda t: det_equiv.mp_density(c, t) / (t - x),
+                                 *params.edges, epsabs=0, epsrel=1e-13, limit=200)
+        m = det_equiv.mp_stieltjes(c, x)
+        assert m == pytest.approx(bulk - params.atom / x, rel=1e-10, abs=0)
+        above = det_equiv.mp_stieltjes(c, complex(x, 1e-9 * max(1.0, abs(x))))
+        assert m == pytest.approx(above.real, rel=1e-10, abs=0)
+
     @given(st.floats(0.05, 5.0), st.floats(-4.0, 8.0), st.floats(0.05, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_stieltjes_axioms_property(self, c, x, y):

@@ -234,7 +234,7 @@ class TestLinearEquivalentKernel:
 class TestCKAlphas:
     def test_identity_layers(self):
         params = hk.ck_alphas([rf_nn.get_activation("identity")] * 3)
-        for a1, a2 in params.alphas:
+        for a1, a2 in params:
             assert a1 == pytest.approx(1.0, abs=1e-12)
             assert a2 == pytest.approx(0.0, abs=1e-12)
 
@@ -252,14 +252,14 @@ class TestCKAlphas:
         act = hk.normalize_activation(rf_nn.get_activation("tanh"))
         params = hk.ck_alphas([act] * 10)
         a1 = hk.hermite_coeffs(act).a1
-        ratios = [params.alphas[i + 1][0] / params.alphas[i][0] for i in range(10)]
+        ratios = [params[i + 1][0] / params[i][0] for i in range(10)]
         assert np.allclose(ratios, a1, atol=1e-12)
-        assert params.alphas[10][0] < 0.75 * params.alphas[1][0]
+        assert params[10][0] < 0.75 * params[1][0]
 
     def test_depth_monotonicity(self):
         act = hk.normalize_activation(rf_nn.get_activation("relu"))
         params = hk.ck_alphas([act] * 6)
-        a1s = [abs(a[0]) for a in params.alphas]
+        a1s = [abs(a[0]) for a in params]
         assert all(b < a for a, b in zip(a1s, a1s[1:]))
 
     def test_unnormalized_rejected_naming_layer(self):
@@ -272,13 +272,13 @@ class TestCKAlphas:
 class TestCKLinearEquivalent:
     def test_layer_zero_is_gram(self):
         X = sphere_dataset(6, 9, 2)
-        params = hk.CKLayerParams(alphas=[(1.0, 0.0)])
+        params = [(1.0, 0.0)]
         assert np.allclose(hk.ck_linear_equivalent(X, params, 0),
                            X.entries.T @ X.entries)
 
     def test_alpha_zero_gives_identity(self):
         X = sphere_dataset(6, 9, 3)
-        params = hk.CKLayerParams(alphas=[(1.0, 0.0), (0.0, 0.0)])
+        params = [(1.0, 0.0), (0.0, 0.0)]
         assert np.allclose(hk.ck_linear_equivalent(X, params, 1), np.eye(9))
 
     def test_off_diagonal_shrinks_by_a1_squared(self):
@@ -305,7 +305,7 @@ class TestCKLinearEquivalent:
 
     def test_layer_out_of_range(self):
         X = sphere_dataset(4, 4, 6)
-        params = hk.CKLayerParams(alphas=[(1.0, 0.0)])
+        params = [(1.0, 0.0)]
         with pytest.raises(ValueError):
             hk.ck_linear_equivalent(X, params, 1)
 

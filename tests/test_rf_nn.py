@@ -415,6 +415,50 @@ class TestThetaFixedPoint:
         with pytest.raises(DomainError):
             rf_nn.theta_fixed_point(np.array([1.0, 0.0]), 0.5)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("n_over_d", [100.0, 1000.0])
+    def test_pareto_power_law(self, alpha, n_over_d):
+        """theta on a Pareto(alpha) spectrum follows a power law of d/n.
+
+        With P(k > x) = x^-alpha for x >= 1 and M = theta n/d, the fixed point
+        is F(M) = E[k/(k + M)] = d/n. Substituting k = M u,
+
+            F(M) = alpha M^-alpha [pi/sin(pi alpha) - int_0^(1/M) u^-alpha/(1+u) du]
+                 = A M^-alpha (1 - delta),   A = alpha pi / sin(pi alpha),
+
+        by the Beta integral, with the alternating, decreasing series (M > 1)
+
+            delta = (sin(pi alpha)/pi) sum_j (-1)^j M^(alpha-1-j) / (j+1-alpha)
+                  = alpha eps1 (1 - eta),   0 <= eta <= (1-alpha)/((2-alpha) M),
+            eps1 = M^(alpha-1) sin(pi alpha) / (pi alpha (1-alpha)).
+
+        The leading term alone gives theta0 = (d/n)^(1-1/alpha) A^(1/alpha),
+        and exactly theta/theta0 = (1 - delta)^(1/alpha). That power is convex
+        in delta, and for alpha <= 1/2 its second derivative is at most
+        (1/alpha)(1/alpha - 1), so
+
+            -eps1 <= theta/theta0 - 1 <= -eps1 + eps1 [(1-alpha) eps1/2 + eta_max].
+
+        The quantile spectrum k_i = (1 - u_i)^(-1/alpha), u_i = (i + 1/2)/N, is
+        the midpoint rule for F = int_0^1 ds / (1 + M s^(1/alpha)). Its error at
+        the s = 0 end is zeta(-1/alpha, 1/2) M N^(-1-1/alpha) to leading order
+        (Navot's Euler-Maclaurin expansion for algebraic end singularities),
+        with zeta(-10/3, 1/2) = -0.0053 and zeta(-2, 1/2) = 0; the k = 1 end
+        adds O(N^-2/M). Since F ~ M^-alpha, an error e in F moves theta by
+        e/(alpha d/n) relative. Add 1e-12 for the bisection (FP_TOL = 1e-13 of
+        its bracket) and rounding.
+        """
+        N = 200_000
+        k = (1.0 - (np.arange(N) + 0.5) / N) ** (-1.0 / alpha)
+        theta = rf_nn.theta_fixed_point(k, 1 / n_over_d)
+        theta0 = n_over_d ** (1 / alpha - 1) * (
+            alpha * np.pi / np.sin(np.pi * alpha)) ** (1 / alpha)
+        M = theta * n_over_d
+        eps1 = M ** (alpha - 1) * np.sin(np.pi * alpha) / (np.pi * alpha * (1 - alpha))
+        window = eps1 * ((1 - alpha) * eps1 / 2 + (1 - alpha) / ((2 - alpha) * M))
+        floor = 0.01 * M * N ** (-1 - 1 / alpha) * n_over_d / alpha + 1e-12
+        assert -eps1 - floor <= theta / theta0 - 1 <= -eps1 + window + floor
+
     def test_gamma_delta_converges_to_theta(self):
         rng = np.random.default_rng(8)
         B = rng.standard_normal((128, 128))
