@@ -28,7 +28,7 @@ from . import rf_nn
 from .det_equiv import MPParams, mp_cdf, mp_density
 from .errors import DatasetError, SingularityError
 from .randgen import NORMALIZATIONS, DataMatrix, ingest_dataset, laguerre_bidiagonal, \
-    sphere_dataset, stream
+    sample_count, sphere_dataset, stream
 from .results import ResultRow, write_csv, write_rows
 from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
     sweep_double_descent
@@ -99,6 +99,19 @@ _INT64 = 2.0**63  # sample counts are int64; an int compares exactly with it
 _ACTIVATION = _member(rf_nn.ACTIVATIONS)
 
 
+def _simulable(size, count, to_ratio=lambda r: r):
+    """(ok, rule) that a ratio entry r simulates fewer than 2**63 samples,
+    ``sample_count(to_ratio(r), size)``, named ``count`` in the rule. Entries and
+    sizes that other rules reject pass; an overflowing ratio * size fails before
+    its rounding would raise."""
+    def ok(r):
+        if not (0 < r < np.inf and 1 <= size < _INT64):
+            return True
+        ratio = to_ratio(r)
+        return ratio * size < np.inf and sample_count(ratio, size) < _INT64
+    return ok, f"must keep {count} below 2**63"
+
+
 def validate(config: ExperimentConfig):
     """Fill defaults and collect *all* violations; returns (config, errors, warnings)."""
     errors = []
@@ -138,8 +151,7 @@ def validate(config: ExperimentConfig):
 
 def _check_ridge_sweep(params):
     errors = (_bound(params, "trials p", *_COUNT) + _bound(params, "ratios", *_POSITIVE)
-              + _bound(params, "ratios", lambda r: r <= 0 or params["p"] < _INT64 / r,
-                       "must keep n = ratio * p below 2**63")
+              + _bound(params, "ratios", *_simulable(params["p"], "n = ratio * p"))
               + _bound(params, "gammas sigma2 beta_norm2 theory_grid", *_NONNEGATIVE))
     warnings_ = [f"ratio {r} sits on the interpolation peak; theory value "
                  "will be near-singular at small gamma"
@@ -155,26 +167,23 @@ def _check_rf_sweep(params):
               else ["labels must hold at most two distinct values"])
     return (_bound(params, "n p n_test trials", *_COUNT)
             + _bound(params, "d_over_n gamma", *_POSITIVE)
+            + _bound(params, "d_over_n", *_simulable(params["n"], "d = d_over_n * n"))
             + _bound(params, "sigma2", *_NONNEGATIVE) + dims + labels
             + _bound(params, "activation", *_ACTIVATION)
             + _bound(params, "normalization", *_member(NORMALIZATIONS))), []
 
 
-def _mp_n(p, c):
-    """Sample count n that simulates the requested ratio c = p / n."""
-    return max(1, int(round(p / c)))
-
-
 def _check_mp(params):
     errors = _bound(params, "p bins", *_COUNT) + _bound(params, "c_list", *_POSITIVE)
-    errors += _bound(params, "c_list", lambda c: c <= 0 or params["p"] < _INT64 * c,
-                     "must keep n = p / c below 2**63")
+    errors += _bound(params, "c_list",
+                     *_simulable(params["p"], "n = p / c", lambda c: 1.0 / c))
     if errors:
         return errors, []
     p = params["p"]
-    return [], [f"c_list entry {c:g} simulates p/n = {p / _mp_n(p, c):g} with p = {p};"
-                " its files keep the requested tag, mp_summary.csv reports p/n"
-                for c in params["c_list"] if p / _mp_n(p, c) != c]
+    return [], [f"c_list entry {c:g} simulates p/n = {p / sample_count(1.0 / c, p):g} "
+                f"with p = {p}; its files keep the requested tag, mp_summary.csv "
+                "reports p/n" for c in params["c_list"]
+                if p / sample_count(1.0 / c, p) != c]
 
 
 # ---------------------------------------------------------------- experiments
@@ -199,7 +208,7 @@ def _run_mp(params, out):
     rows = []
     p = params["p"]
     for i, c in enumerate(params["c_list"]):
-        n = _mp_n(p, c)
+        n = sample_count(1.0 / c, p)
         lam = _mp_eigenvalues(p, n, stream(params["seed"], 0, i, 0))
         mp = MPParams.from_ratio(p / n)
         hi = mp.edges[1] * 1.05
@@ -319,7 +328,7 @@ def _run_rf_sweep(params, out):
     Xtr, ytr, Xte, yte = _rf_data(params)
     n = ytr.size
     gamma, trials = params["gamma"], params["trials"]
-    widths = [max(1, int(round(dn * n))) for dn in params["d_over_n"]]
+    widths = [sample_count(dn, n) for dn in params["d_over_n"]]
     # every width's theory on one eigendecomposition of the train kernel; it and
     # the cross block in its basis are freed before the trials, so that they do
     # not add to the trials' peak memory
@@ -345,9 +354,8 @@ def _run_rf_sweep(params, out):
         feats = rf_nn.rf_features(W, Xte, act)
         emp_te[:, t] = [rf_nn.rf_empirical_mse(beta, feats[:d], yte)
                         for d, beta in zip(widths, betas)]
-    rows = [ResultRow.from_trials(dn, gamma, metric, vals, th, status)
-            for dn, (th_tr, th_te, status), tr, te
-            in zip(params["d_over_n"], theory, emp_tr, emp_te)
+    rows = [ResultRow.from_trials(d / n, gamma, metric, vals, th, status)
+            for d, (th_tr, th_te, status), tr, te in zip(widths, theory, emp_tr, emp_te)
             for metric, vals, th in (("train_mse", tr, th_tr), ("test_mse", te, th_te))]
     write_rows(os.path.join(out, "rf_sweep.csv"), rows)
     devs = [abs(r.empirical_mean - r.theory) / abs(r.theory)

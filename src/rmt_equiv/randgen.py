@@ -69,6 +69,13 @@ def gaussian_matrix(rows, cols, variance, seed) -> DataMatrix:
     return DataMatrix(entries)
 
 
+def sample_count(ratio, size):
+    """The count a sweep simulates for a requested ratio of it to ``size``:
+    ratio * size rounded, at least 1. Each sweep's theory and rows use the
+    simulated ratio, count / size, which can differ from the requested one."""
+    return max(1, int(round(ratio * size)))
+
+
 def stream(seed, role, point, trial):
     """The Generator of one random quantity: ``role`` names the quantity (the
     caller's numbering), ``point`` the sweep point and ``trial`` the Monte

@@ -99,7 +99,7 @@ def rf_features(W, X, act: ActivationSpec):
 def rf_fit(features, y, gamma):
     """Ridge readout beta = (Phi Phi^T/n + gamma I_d)^{-1} Phi y / n.
 
-    Solved by ``ridge.solve_ridge`` through the smaller of its primal and dual forms.
+    Solved by ``ridge.solve_ridge``, the solver of ``ridge.ridge_fit`` too.
     """
     if not gamma > 0:
         raise ValueError("rf_fit requires gamma > 0 (ridgeless is a theory limit)")

@@ -23,7 +23,7 @@ import numpy as np
 from .det_equiv import mp_stieltjes, mp_stieltjes_derivative
 from .errors import SingularityError
 from .randgen import DataMatrix, GroundTruth, gaussian_matrix, laguerre_bidiagonal, \
-    linear_targets, stream
+    linear_targets, sample_count, stream
 from .results import ResultRow
 from .spectral import rank_tolerance
 
@@ -35,21 +35,6 @@ PEAK_RATIO_BAND = 0.02
 class RiskPair:
     r_in: float
     r_out: float
-
-
-def solve_ridge(A, y, gamma):
-    """(A A^T/n + gamma I)^{-1} A y / n for a p x n matrix A and gamma > 0.
-
-    Solved through whichever of the equivalent p x p primal / n x n dual forms
-    is smaller.
-    """
-    p, n = A.shape
-    G = A @ A.T if p <= n else A.T @ A
-    G /= n
-    G.flat[::G.shape[0] + 1] += gamma
-    if p <= n:
-        return np.linalg.solve(G, A @ y / n)
-    return A @ np.linalg.solve(G, y) / n
 
 
 def _certified_full_rank(G, size):
@@ -79,38 +64,39 @@ def _certified_full_rank(G, size):
     return True
 
 
-def min_norm_solve(A, y):
-    """Min-norm minimizer of ||A^T beta - y|| for a p x n matrix A, at any rank.
+def solve_ridge(A, y, gamma):
+    """(A A^T/n + gamma I)^{-1} A y / n for a p x n matrix A and gamma > 0, and
+    at gamma = 0 the min-norm minimizer of ||A^T beta - y||, at any rank.
 
-    The answer is G^+ A y if p <= n, else A G^+ y, for the smaller Gram
-    matrix G (A A^T if p <= n, else A^T A), where eigenvalues at or below
-    lambda_max max(p, n) eps count as zero (numpy's pinv cut-off, applied to
-    the Gram spectrum). When ``_certified_full_rank`` proves that no
-    eigenvalue is cut, G^+ = G^{-1} is applied by one solve; otherwise the
-    eigendecomposition of G is truncated at the cut-off.
+    Both use the smaller Gram matrix G (A A^T if p <= n, else A^T A). At
+    gamma = 0 the answer is G^+ A y if p <= n, else A G^+ y, where eigenvalues
+    at or below lambda_max max(p, n) eps count as zero (numpy's pinv cut-off on
+    the Gram spectrum). When ``_certified_full_rank`` proves that none is cut,
+    G^+ = G^{-1} is applied by one solve; otherwise the eigendecomposition of
+    G is truncated at the cut-off.
     """
+    if not gamma >= 0:
+        raise ValueError("gamma must be >= 0")
     p, n = A.shape
     G = A @ A.T if p <= n else A.T @ A
-    if _certified_full_rank(G, max(p, n)):
-        if p <= n:
-            return np.linalg.solve(G, A @ y)
-        return A @ np.linalg.solve(G, y)
-    lam, U = np.linalg.eigh(G)
-    keep = lam > rank_tolerance(lam, max(p, n))
-    U, lam = U[:, keep], lam[keep]
-    if p <= n:
-        return U @ ((U.T @ (A @ y)) / lam)
-    return A @ (U @ ((U.T @ y) / lam))
+    scale = n if gamma > 0 else 1
+    if gamma > 0:
+        G /= n
+        G.flat[::G.shape[0] + 1] += gamma
+    rhs = A @ y / scale if p <= n else y
+    if gamma > 0 or _certified_full_rank(G, max(p, n)):
+        x = np.linalg.solve(G, rhs)
+    else:
+        lam, U = np.linalg.eigh(G)
+        keep = lam > rank_tolerance(lam, max(p, n))
+        U, lam = U[:, keep], lam[keep]
+        x = U @ ((U.T @ rhs) / lam)
+    return x if p <= n else A @ x / scale
 
 
 def ridge_fit(X: DataMatrix, y, gamma):
     """beta = (XX^T/n + gamma I)^{-1} X y / n, or the min-norm LS solution at gamma = 0."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    y = np.asarray(y, dtype=float)
-    if gamma == 0:
-        return min_norm_solve(X.entries, y)
-    return solve_ridge(X.entries, y, gamma)
+    return solve_ridge(X.entries, np.asarray(y, dtype=float), gamma)
 
 
 def empirical_risks(beta, truth: GroundTruth, X: DataMatrix) -> RiskPair:
@@ -133,9 +119,12 @@ def risk_theory(gamma, c, beta_norm2, sigma2) -> RiskPair:
         return ridgeless_limits(c, beta_norm2, sigma2)
     m = mp_stieltjes(c, -gamma).real
     mp = mp_stieltjes_derivative(c, gamma)
-    r_in = gamma**2 * beta_norm2 * (m - gamma * mp) \
+    # m - gamma m' by the MP quadratic at z = -gamma: for c > 1, m and gamma m'
+    # both grow like 1/gamma, and their difference would cancel
+    m_less = (1.0 - gamma * m) * mp / (m * (c * m + 1.0))
+    r_in = gamma**2 * beta_norm2 * m_less \
         + sigma2 * c * (1.0 - 2.0 * gamma * m + gamma**2 * mp)
-    r_out = gamma**2 * beta_norm2 * mp + sigma2 * c * (m - gamma * mp)
+    r_out = gamma**2 * beta_norm2 * mp + sigma2 * c * m_less
     return RiskPair(float(r_in), float(r_out))
 
 
@@ -158,18 +147,13 @@ def ridgeless_limits(c, beta_norm2, sigma2) -> RiskPair:
 class SweepSpec:
     """Configuration of a double-descent Monte Carlo sweep."""
 
-    ratios: list          # requested n/p values; n = round(ratio * p)
+    ratios: list          # requested n/p; n = sample_count(ratio, p), rows report n/p
     gammas: list
     trials: int = 30
     p: int = 512
     sigma2: float = 0.1
     seed: int = 0
     beta_norm2: float = 1.0
-
-
-def _sample_count(spec: SweepSpec, ratio):
-    """Sample count n = round(ratio * p), at least 1, simulated at a ratio."""
-    return max(1, int(round(ratio * spec.p)))
 
 
 # stream roles of the gamma > 0 sampler (``randgen.stream``)
@@ -302,7 +286,7 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
     its trials with ``bidiagonal_risks``; a gamma = 0 point fits each trial
     on a direct draw."""
     p = spec.p
-    n = _sample_count(spec, ratio)
+    n = sample_count(ratio, p)
     c = p / n
     if gamma > 0:
         r_in_vals, r_out_vals = bidiagonal_risks(

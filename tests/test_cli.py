@@ -286,6 +286,7 @@ class TestRunExperiments:
         # sample counts that no int64 holds
         ("ridge-sweep", "ratios = 1e300", "ratios"),
         ("mp", "c_list = 1e-300", "c_list"),
+        ("rf-sweep", "d_over_n = 1e300", "d_over_n"),
         # keys starting with '_' come from command-line options, not from a file
         ("mp", "_sed = 9", "_sed"),
         ("rf-sweep", "_header = False", "_header"),
@@ -562,6 +563,13 @@ class TestRunExperiments:
             cli._run_rf_sweep(params, str(tmp_path / name))
         assert (tmp_path / "a" / "rf_sweep.csv").read_bytes() == \
             (tmp_path / "b" / "rf_sweep.csv").read_bytes()
+
+    def test_rf_sweep_rows_report_simulated_ratio(self, tmp_path):
+        # d = round(0.33 * 16) = 5, so the rows report 5 / 16, the ratio the
+        # theory uses, not the requested 0.33
+        cli._run_rf_sweep({**RF_TOY, "n": 16, "d_over_n": [0.33, 0.5]}, str(tmp_path))
+        rows = (tmp_path / "rf_sweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.3125] * 2 + [0.5] * 2
 
     def test_rf_sweep_reproducible_bytes(self, tmp_path):
         path = write_config(tmp_path, config_text(RF_TOY))

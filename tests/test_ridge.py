@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import astuple
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ class TestRidgeFit:
         A = (U * np.sqrt(lam)) @ V.T
         y = rng.standard_normal(n)
         want = eigh_min_norm(A, y)
-        got = ridge.min_norm_solve(A, y)
+        got = ridge.solve_ridge(A, y, 0.0)
         kept = lam[lam > max(p, n) * EPS]
         kappa = kept.max() / kept.min()
         assert np.linalg.norm(got - want) <= 10 * kappa * EPS * np.linalg.norm(want)
@@ -254,6 +255,23 @@ class TestRiskTheory:
     def test_peak_singularity(self):
         with pytest.raises(SingularityError):
             ridge.risk_theory(0.0, 1.0, 1.0, 0.1)
+
+    def test_small_gamma_interpolating_digits(self):
+        # for c > 1, m(-gamma) and gamma m'(-gamma) both grow like 1/gamma;
+        # the reference evaluates the closed form at 50 digits, where their
+        # difference loses none that matter
+        for c in np.geomspace(1.05, 20.0, 40):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                g, cd, sigma2 = Decimal(1e-5), Decimal(float(c)), Decimal(0.1)
+                k = cd - 1 - g  # m solves c g m^2 - (c - 1 - g) m - 1 = 0 at z = -g
+                m = (k + (k * k + 4 * cd * g).sqrt()) / (2 * cd * g)
+                mp = m * (cd * m + 1) / (2 * cd * g * m + 1 - cd + g)
+                r_in = g * g * (m - g * mp) + sigma2 * cd * (1 - 2 * g * m + g * g * mp)
+                r_out = g * g * mp + sigma2 * cd * (m - g * mp)
+            got = ridge.risk_theory(1e-5, c, 1.0, 0.1)
+            assert got.r_in == pytest.approx(float(r_in), rel=1e-12), c
+            assert got.r_out == pytest.approx(float(r_out), rel=1e-12), c
 
     def test_regime_consistency_small_c(self):
         # as c -> 0 both risks tend to the classical (fixed p, n -> inf) value
