@@ -27,11 +27,10 @@ from . import hermite_kernels as hk
 from . import rf_nn
 from .det_equiv import MPParams, mp_cdf, mp_density
 from .errors import DatasetError, SingularityError
-from .randgen import NORMALIZATIONS, DataMatrix, ingest_dataset, laguerre_bidiagonal, \
-    sample_count, sphere_dataset, stream
+from .randgen import NORMALIZATIONS, DataMatrix, GroundTruth, ingest_dataset, \
+    laguerre_bidiagonal, linear_targets, sample_count, sphere_dataset, stream
 from .results import ResultRow, write_csv, write_rows
-from .ridge import PEAK_RATIO_BAND, RiskPair, SweepSpec, risk_theory, \
-    sweep_double_descent
+from .ridge import RiskPair, SweepSpec, at_peak, risk_theory, sweep_double_descent
 from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, symmetric_norm
 
 
@@ -46,7 +45,7 @@ class ExperimentConfig:
 Experiment = namedtuple("Experiment", "defaults check run")
 
 
-def parse_config(path, experiment=None) -> ExperimentConfig:
+def parse_config(path, experiment) -> ExperimentConfig:
     """Read a flat key = value config file; each key takes its default's type.
 
     A list takes its first entry's, ``seed`` is an int and unknown keys stay str."""
@@ -63,11 +62,8 @@ def parse_config(path, experiment=None) -> ExperimentConfig:
                 raise ValueError(f"{path}:{lineno}: {key}: keys starting with '_' "
                                  "are set by command-line options only")
             raw[key] = (lineno, value)
-    file_exp = raw.pop("experiment", (None, None))[1]
-    exp = experiment or file_exp
-    if exp is None:
-        raise ValueError("no experiment given (CLI argument or 'experiment' key)")
-    types = {"seed": 0, **(EXPERIMENTS[exp].defaults if exp in EXPERIMENTS else {})}
+    types = {"seed": 0, **(EXPERIMENTS[experiment].defaults
+                           if experiment in EXPERIMENTS else {})}
     params = {}
     for key, (lineno, value) in raw.items():
         default = types.get(key, "")
@@ -76,7 +72,7 @@ def parse_config(path, experiment=None) -> ExperimentConfig:
                            if isinstance(default, list) else type(default)(value))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return ExperimentConfig(experiment=exp, params=params)
+    return ExperimentConfig(experiment=experiment, params=params)
 
 
 def _bound(params, keys, ok, rule):
@@ -153,12 +149,14 @@ def _check_ridge_sweep(params):
     errors = (_bound(params, "trials p", *_COUNT) + _bound(params, "ratios", *_POSITIVE)
               + _bound(params, "ratios", *_simulable(params["p"], "n = ratio * p"))
               + _bound(params, "gammas sigma2 beta_norm2 theory_grid", *_NONNEGATIVE))
-    warnings_ = [f"ratio {r} sits on the interpolation peak; theory value "
-                 "will be near-singular at small gamma"
-                 for r in params["ratios"]
-                 if r > 0 and abs(1.0 / r - 1.0) < PEAK_RATIO_BAND
-                 and any(g < 1e-4 for g in params["gammas"])]
-    return errors, warnings_
+    if errors or not any(g < 1e-4 for g in params["gammas"]):
+        return errors, []
+    # validate rejects an infinite ratio and a p of 2**63 or more after this
+    # check; r * p < inf skips the entries whose sample_count would overflow
+    p = params["p"]
+    return [], [f"ratio {r} sits on the interpolation peak; theory value "
+                "will be near-singular at small gamma" for r in params["ratios"]
+                if r * p < np.inf and at_peak(p / sample_count(r, p))]
 
 
 def _check_rf_sweep(params):
@@ -180,10 +178,11 @@ def _check_mp(params):
     if errors:
         return errors, []
     p = params["p"]
+    # as in _check_ridge_sweep, skip the entries whose sample_count would overflow
     return [], [f"c_list entry {c:g} simulates p/n = {p / sample_count(1.0 / c, p):g} "
                 f"with p = {p}; its files keep the requested tag, mp_summary.csv "
                 "reports p/n" for c in params["c_list"]
-                if p / sample_count(1.0 / c, p) != c]
+                if 1.0 / c * p < np.inf and p / sample_count(1.0 / c, p) != c]
 
 
 # ---------------------------------------------------------------- experiments
@@ -297,11 +296,6 @@ def _rf_data(params):
             raise DatasetError(
                 f"dataset holds {X_all.n} filtered samples; need n+n_test={n + n_test}"
             )
-        # the kernels divide by sample norms (unit-sphere data is checked on ingest)
-        zero = np.flatnonzero(~X_all.entries[:, :n + n_test].any(axis=0))
-        if zero.size:
-            raise DatasetError(f"dataset {params['dataset']}: filtered sample "
-                               f"{zero[0]} (0-based) is all zeros")
         Xtr = DataMatrix(X_all.entries[:, :n])
         Xte = DataMatrix(X_all.entries[:, n:n + n_test])
         return Xtr, y_all[:n], Xte, y_all[n:n + n_test]
@@ -309,14 +303,10 @@ def _rf_data(params):
     Xtr = sphere_dataset(p, n, stream(seed, RF_TRAIN, 0, 0))
     Xte = sphere_dataset(p, n_test, stream(seed, RF_TEST, 0, 0))
     bstar = stream(seed, RF_TRUTH, 0, 0).standard_normal(p)
-    bstar /= np.linalg.norm(bstar)
-    ytr = Xtr.entries.T @ bstar
-    yte = Xte.entries.T @ bstar
-    if params["sigma2"] > 0:
-        noise = stream(seed, RF_NOISE, 0, 0)
-        ytr = ytr + noise.normal(0, np.sqrt(params["sigma2"]), n)
-        yte = yte + noise.normal(0, np.sqrt(params["sigma2"]), n_test)
-    return Xtr, ytr, Xte, yte
+    truth = GroundTruth(bstar / np.linalg.norm(bstar), params["sigma2"])
+    noise = stream(seed, RF_NOISE, 0, 0)  # the test noise follows the train noise
+    return (Xtr, linear_targets(Xtr, truth, noise),
+            Xte, linear_targets(Xte, truth, noise))
 
 
 def _run_rf_sweep(params, out):
@@ -328,7 +318,8 @@ def _run_rf_sweep(params, out):
     Xtr, ytr, Xte, yte = _rf_data(params)
     n = ytr.size
     gamma, trials = params["gamma"], params["trials"]
-    widths = [sample_count(dn, n) for dn in params["d_over_n"]]
+    # entries that round to one width give one row pair
+    widths = sorted({sample_count(dn, n) for dn in params["d_over_n"]})
     # every width's theory on one eigendecomposition of the train kernel; it and
     # the cross block in its basis are freed before the trials, so that they do
     # not add to the trials' peak memory
@@ -393,23 +384,23 @@ def _run_ck_depth(params, out):
     act = hk.normalize_activation(rf_nn.get_activation("tanh"))
     alphas = hk.ck_alphas([act] * L)
     X = sphere_dataset(p, n, params["seed"])
-    rows = []
-    eye = np.eye(n)
-    for layer in range(L + 1):
-        Kt = hk.ck_linear_equivalent(X, alphas, layer)
-        rows += [_row(layer, "alpha1", alphas[layer][0], float("nan")),
-                 _row(layer, "distance_to_identity", symmetric_norm(Kt - eye),
-                      float("nan"))]
-    # empirical two-layer CK at the requested width; each layer's draw (role 0,
-    # then role 1) has its own stream. Each width x n layer is activated in
+    # empirical two-layer CK at the requested width, drawn before the layer loop
+    # so that no n x n matrix is held through the draws; each layer's draw (role
+    # 0, then role 1) has its own stream. Each width x n layer is activated in
     # place on its product, and P1 is freed as soon as P2 is formed
     P1 = stream(params["seed"], 0, 0, 0).standard_normal((width, p)) @ X.entries
     act.evaluate(P1, out=P1)
     P2 = _second_layer(P1, stream(params["seed"], 1, 0, 0))
     del P1
     act.evaluate(P2, out=P2)
-    K2t = hk.ck_linear_equivalent(X, alphas, 2)
-    gap = symmetric_norm(P2.T @ P2 / width - K2t) / symmetric_norm(K2t)
+    rows = []
+    for layer in range(L + 1):
+        Kt = hk.ck_linear_equivalent(X, alphas, layer)
+        rows += [_row(layer, "alpha1", alphas[layer][0], float("nan")),
+                 _row(layer, "distance_to_identity", symmetric_norm(Kt - np.eye(n)),
+                      float("nan"))]
+        if layer == 2:
+            gap = symmetric_norm(P2.T @ P2 / width - Kt) / symmetric_norm(Kt)
     rows.append(_row(2, "empirical_ck_gap", float(gap)))
     write_rows(os.path.join(out, "ck_depth.csv"), rows)
     return float(gap)

@@ -139,25 +139,13 @@ def linear_targets(X: DataMatrix, truth: GroundTruth, seed) -> np.ndarray:
 NORMALIZATIONS = ("none", "unit-sphere", "global-spectral")
 
 
-def _apply_normalization(entries, normalization):
-    if normalization == "unit-sphere":
-        norms = np.linalg.norm(entries, axis=0)
-        if np.any(norms == 0):
-            raise ValueError("cannot sphere-normalize a zero column")
-        return entries / norms
-    if normalization == "global-spectral":
-        s = np.linalg.norm(entries, 2)
-        return entries / s if s > 0 else entries
-    if normalization in (None, "none"):
-        return entries
-    raise ValueError(f"unknown normalization tag {normalization!r}")
-
-
 def ingest_dataset(path, label_filter, normalization="none", header=False):
     """Read a label-first CSV (``label,f1,...,fp`` per line) into a DataMatrix.
 
     Keeps only rows whose label is in ``label_filter`` and maps the (at most
     two) retained labels to -1/+1 regression targets, smaller label first.
+    Every retained sample must be finite with a nonzero norm, under every
+    normalization, because the kernels divide by sample norms.
     Returns (DataMatrix, targets).
     """
     labels_keep = sorted(set(label_filter))
@@ -192,10 +180,18 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
     if not cols:
         raise DatasetError(f"no rows with labels {labels_keep} in {path}")
     entries = np.stack(cols, axis=1)
-    # unlike generated data, a file may hold a NaN, which the zero-column check misses
+    # unlike generated data, a file may hold a NaN or a zero sample
     if not np.all(np.isfinite(entries)):
         raise ValueError("entries must all be finite")
-    entries = _apply_normalization(entries, normalization)
+    norms = np.linalg.norm(entries, axis=0)
+    if not norms.all():
+        raise DatasetError(f"filtered sample {np.argmin(norms)} (0-based) has norm 0")
+    if normalization == "unit-sphere":
+        entries /= norms
+    elif normalization == "global-spectral":
+        entries /= np.linalg.norm(entries, 2)
+    elif normalization != "none":
+        raise ValueError(f"unknown normalization tag {normalization!r}")
     if len(labels_keep) == 2:
         lo = labels_keep[0]
         y = np.array([-1.0 if lab == lo else 1.0 for lab in labels])

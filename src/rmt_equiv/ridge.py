@@ -31,6 +31,11 @@ from .spectral import rank_tolerance
 PEAK_RATIO_BAND = 0.02
 
 
+def at_peak(c):
+    """True if the simulated ratio c = p/n sits on the interpolation peak."""
+    return abs(c - 1.0) < PEAK_RATIO_BAND
+
+
 @dataclass
 class RiskPair:
     r_in: float
@@ -298,7 +303,7 @@ def _sweep_point(spec: SweepSpec, ratio, gamma, point_index):
     failed = ~(np.isfinite(r_in_vals) & np.isfinite(r_out_vals))
     r_in_vals[failed] = r_out_vals[failed] = np.nan
     failures = int(failed.sum())
-    status = "peak" if abs(c - 1.0) < PEAK_RATIO_BAND and gamma == 0 else "ok"
+    status = "peak" if at_peak(c) and gamma == 0 else "ok"
     if failures:
         status = f"{failures}-trials-failed"
 

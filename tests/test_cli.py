@@ -89,6 +89,22 @@ class TestParseValidate:
         assert not errors
         assert warnings_
 
+    @pytest.mark.parametrize("p, ratio, peak", [(16, 1.03, True), (16, 0.99, True),
+                                                (40, 1.0195, False), (512, 1.015, True),
+                                                (512, 1.05, False)])
+    def test_peak_warning_tests_the_simulated_ratio(self, tmp_path, p, ratio, peak):
+        # p = 16, ratio 1.03 simulates n = 16, so p/n = 1 sits on the peak;
+        # p = 40, ratio 1.0195 simulates n = 41, p/n = 0.976, which does not
+        path = write_config(tmp_path, f"seed = 1\np = {p}\nratios = {ratio}\n"
+                                      "gammas = 0.00001\n")
+        _, errors, warnings_ = cli.validate(cli.parse_config(path, "ridge-sweep"))
+        assert not errors
+        simulated = p / randgen.sample_count(ratio, p)
+        assert len(warnings_) == ridge.at_peak(simulated) == peak
+        row = ridge.sweep_double_descent(ridge.SweepSpec(ratios=[ratio], gammas=[0.0],
+                                                         trials=1, p=p))[0]
+        assert (row.status == "peak") == ridge.at_peak(simulated)
+
     def test_defaults_filled(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, "seed = 5\n"), "mp")
         filled, errors, _ = cli.validate(cfg)
@@ -290,6 +306,12 @@ class TestRunExperiments:
         # keys starting with '_' come from command-line options, not from a file
         ("mp", "_sed = 9", "_sed"),
         ("rf-sweep", "_header = False", "_header"),
+        # the experiment comes from the command line only
+        ("mp", "experiment = mp", "experiment"),
+        # the simulated-ratio warnings are not formed for a p that validate
+        # rejects, whose sample count would overflow
+        ("ridge-sweep", f"p = {10**20}\nratios = 1e300\ngammas = 0.00001", "p"),
+        ("mp", f"p = {10**20}\nc_list = 1e-300", "p"),
     ])
     def test_bad_input_exit_2_names_key(self, tmp_path, capsys, experiment, text, key):
         text = text.format(data=write_dataset(tmp_path, 30),  # 30 rows < n + n_test
@@ -317,6 +339,19 @@ class TestRunExperiments:
         err = capsys.readouterr().err
         assert re.search(rf"\b{key} must be < 2\*\*63", err), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("normalization", randgen.NORMALIZATIONS)
+    @pytest.mark.parametrize("zero_row", [3, 35])
+    def test_zero_sample_exit_2(self, tmp_path, capsys, normalization, zero_row):
+        # sample 35 lies past the n + n_test = 32 samples that the run uses
+        data = write_dataset(tmp_path, 40, zero_row=zero_row)
+        path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\np = 6\n"
+                                      f"normalization = {normalization}\n"
+                                      f"dataset = {data}\n")
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: dataset {data}: filtered sample {zero_row} (0-based) "
+                       "has norm 0\n"), err
 
     def test_non_finite_dataset_exit_2(self, tmp_path, capsys):
         data = write_config(tmp_path, "1,0.5,0.25\n2,nan,0.5\n" * 20, name="nan.csv")
@@ -570,6 +605,31 @@ class TestRunExperiments:
         cli._run_rf_sweep({**RF_TOY, "n": 16, "d_over_n": [0.33, 0.5]}, str(tmp_path))
         rows = (tmp_path / "rf_sweep.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.3125] * 2 + [0.5] * 2
+
+    def test_rf_data_targets_draw_consecutive_noise(self):
+        Xtr, ytr, Xte, yte = cli._rf_data(RF_TOY)
+        b = randgen.stream(3, cli.RF_TRUTH, 0, 0).standard_normal(8)
+        b /= np.linalg.norm(b)
+        noise = randgen.stream(3, cli.RF_NOISE, 0, 0).normal(0, np.sqrt(0.05), 24 + 16)
+        np.testing.assert_array_equal(ytr, Xtr.entries.T @ b + noise[:24])
+        np.testing.assert_array_equal(yte, Xte.entries.T @ b + noise[24:])
+
+    def test_rf_sweep_fits_each_simulated_width_once(self, tmp_path, monkeypatch):
+        # 0.33 and 0.34 both give width 5 at n = 16: one row pair, one fit per trial
+        fits, rf_fit = [], rf_nn.rf_fit
+
+        def counted_fit(F, y, gamma):
+            fits.append(len(F))
+            return rf_fit(F, y, gamma)
+        monkeypatch.setattr(rf_nn, "rf_fit", counted_fit)
+        for name, d_over_n in (("a", [0.33]), ("b", [0.33, 0.34])):
+            os.makedirs(tmp_path / name)
+            cli._run_rf_sweep({**RF_TOY, "n": 16, "d_over_n": d_over_n},
+                              str(tmp_path / name))
+        assert fits == [5] * 6
+        text = (tmp_path / "b" / "rf_sweep.csv").read_text()
+        assert len(text.splitlines()) == 1 + 2
+        assert text == (tmp_path / "a" / "rf_sweep.csv").read_text()
 
     def test_rf_sweep_reproducible_bytes(self, tmp_path):
         path = write_config(tmp_path, config_text(RF_TOY))

@@ -189,6 +189,16 @@ class TestIngestDataset:
             X, _ = randgen.ingest_dataset(path, {1}, "global-spectral")
             assert np.linalg.norm(X.entries, 2) <= 1 + 1e-10
 
+    @pytest.mark.parametrize("normalization", randgen.NORMALIZATIONS)
+    def test_zero_sample_rejected(self, tmp_path, normalization):
+        # the label-3 row is filtered out, so the zero sample is filtered sample 1
+        path = self._write(tmp_path, "1,0.5,0.5\n3,1,1\n1,0,0\n1,1,2\n")
+        with pytest.raises(DatasetError,
+                           match=r"^filtered sample 1 \(0-based\) has norm 0$"):
+            randgen.ingest_dataset(path, {1}, normalization)
+        X, _ = randgen.ingest_dataset(path, {3}, normalization)  # a zero row left out
+        assert X.n == 1
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             randgen.ingest_dataset(str(tmp_path / "nope.csv"), {1})
