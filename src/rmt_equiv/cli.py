@@ -9,9 +9,9 @@ lists are comma-separated). The seed is mandatory and may be overridden by the
 ``RMT_EQUIV_SEED`` environment variable. All numeric CSV values are written
 with 9 significant digits; identical configs produce byte-identical CSVs.
 
-Exit status: 0 success; 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
-non-finite number is a bad config), or an ``--out`` that cannot be created or
-written; 3 numerical failure or failed allocation.
+Exit status: 0 success; 2 bad config, dataset, misplaced ``--header`` or
+``RMT_EQUIV_SEED`` (a non-finite number is a bad config), or an ``--out`` that
+cannot be created or written; 3 numerical failure or failed allocation.
 """
 
 import argparse
@@ -25,7 +25,7 @@ import numpy as np
 from . import dynamics as dyn
 from . import hermite_kernels as hk
 from . import rf_nn
-from .det_equiv import MPParams, mp_cdf, mp_density
+from .det_equiv import mp_cdf, mp_density, mp_edges
 from .errors import DatasetError, SingularityError
 from .randgen import NORMALIZATIONS, DataMatrix, GroundTruth, ingest_dataset, \
     laguerre_bidiagonal, linear_targets, sample_count, sphere_dataset, stream
@@ -132,6 +132,9 @@ def validate(config: ExperimentConfig):
         errors.append("missing mandatory key 'seed'")
     elif filled["seed"] < 0:
         errors.append("seed must be >= 0")
+    if filled.get("_header") and not (config.experiment == "rf-sweep"
+                                      and filled["dataset"]):
+        errors.append("--header applies only to rf-sweep with a dataset")
 
     for key in entry.defaults:
         vals = filled[key] if isinstance(filled[key], list) else [filled[key]]
@@ -175,6 +178,10 @@ def _check_mp(params):
     errors = _bound(params, "p bins", *_COUNT) + _bound(params, "c_list", *_POSITIVE)
     errors += _bound(params, "c_list",
                      *_simulable(params["p"], "n = p / c", lambda c: 1.0 / c))
+    tags = [f"{c:g}" for c in params["c_list"]]  # as in the file names
+    if len(set(tags)) < len(tags):
+        errors.append("c_list entries must have distinct file tags; "
+                      f"got {', '.join(tags)}")
     if errors:
         return errors, []
     p = params["p"]
@@ -209,13 +216,12 @@ def _run_mp(params, out):
     for i, c in enumerate(params["c_list"]):
         n = sample_count(1.0 / c, p)
         lam = _mp_eigenvalues(p, n, stream(params["seed"], 0, i, 0))
-        mp = MPParams.from_ratio(p / n)
-        hi = mp.edges[1] * 1.05
-        edges, masses = esd_histogram(lam, params["bins"], (0.0, hi))
+        lo, hi = mp_edges(p / n)
+        edges, masses = esd_histogram(lam, params["bins"], (0.0, hi * 1.05))
         tag = f"{c:g}".replace(".", "p")
         write_csv(os.path.join(out, f"mp_hist_c{tag}.csv"),
                   "bin_left,bin_right,mass", zip(edges, edges[1:], masses))
-        grid = np.linspace(max(mp.edges[0], 1e-4), mp.edges[1], 400)
+        grid = np.linspace(max(lo, 1e-4), hi, 400)
         dens = mp_density(p / n, grid)
         write_csv(os.path.join(out, f"mp_density_c{tag}.csv"), "x,density",
                   zip(grid, dens))
@@ -382,7 +388,7 @@ def _second_layer(P1, rng):
 def _run_ck_depth(params, out):
     L, n, p, width = params["layers"], params["n"], params["p"], params["width"]
     act = hk.normalize_activation(rf_nn.get_activation("tanh"))
-    alphas = hk.ck_alphas([act] * L)
+    alphas = hk.ck_alphas(act, L)
     X = sphere_dataset(p, n, params["seed"])
     # empirical two-layer CK at the requested width, drawn before the layer loop
     # so that no n x n matrix is held through the draws; each layer's draw (role
@@ -427,7 +433,7 @@ def _run_dynamics(params, out):
     act = hk.normalize_activation(rf_nn.get_activation("tanh"))
     dcoeffs = hk.hermite_coeffs(rf_nn.ActivationSpec("dtanh", act.derivative,
                                                      lambda t: t))
-    alphas = hk.ck_alphas([act, act])
+    alphas = hk.ck_alphas(act, 2)
     gram0 = X.entries.T @ X.entries
     cks, ckps = [], []
     prev = gram0
@@ -528,7 +534,7 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=".", help="output directory for CSVs")
     parser.add_argument("--header", action="store_true",
-                        help="dataset CSV has a header line to skip")
+                        help="dataset CSV has a header line to skip (rf-sweep)")
     parser.add_argument("--dataset", default=None,
                         help="label-first CSV overriding the config dataset key "
                              "(rf-sweep)")

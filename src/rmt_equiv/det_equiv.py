@@ -23,20 +23,13 @@ from .errors import ConvergenceError, DomainError, SingularityError
 MAX_FP_ITERATIONS = 10_000
 
 
-@dataclass
-class MPParams:
-    """Support data of the Marchenko-Pastur law with ratio c = lim p/n."""
-
-    c: float
-    edges: tuple
-    atom: float
-
-    @classmethod
-    def from_ratio(cls, c):
-        if not c > 0:
-            raise ValueError("ratio c must be positive")
-        sq = np.sqrt(c)
-        return cls(c=c, edges=((1 - sq) ** 2, (1 + sq) ** 2), atom=max(0.0, 1 - 1 / c))
+def mp_edges(c):
+    """Support edges ((1 - sqrt c)^2, (1 + sqrt c)^2) of the Marchenko-Pastur law
+    with ratio c = lim p/n."""
+    if not c > 0:
+        raise ValueError("ratio c must be positive")
+    sq = np.sqrt(c)
+    return (1 - sq) ** 2, (1 + sq) ** 2
 
 
 @dataclass
@@ -59,10 +52,8 @@ def mp_stieltjes(c, z):
     above. Of the two equal forms the one without cancellation is evaluated.
     Returns a float for real z.
     """
-    if not c > 0:
-        raise ValueError("ratio c must be positive")
+    lo, hi = mp_edges(c)
     z = complex(z)
-    lo, hi = MPParams.from_ratio(c).edges
     if z.imag == 0.0 and (z.real == 0.0 or lo <= z.real <= hi):
         raise DomainError(f"z={z.real} lies in the MP support for c={c}")
     b = 1.0 - c - z
@@ -76,11 +67,10 @@ def mp_stieltjes(c, z):
 
 def mp_density(c, x):
     """Continuous part of the MP law at x > 0 (the c>1 atom at 0 is separate)."""
-    params = MPParams.from_ratio(c)
+    lo, hi = mp_edges(c)
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise DomainError("mp_density is defined for x > 0; the atom sits at 0")
-    lo, hi = params.edges
     out = np.zeros_like(x)
     mask = (x > lo) & (x < hi)
     xm = x[mask]
@@ -102,8 +92,8 @@ def mp_cdf(c):
     stays accurate near the edges, where arcsin of a rounded argument near +-1
     loses half its digits. Returns a vectorized callable suitable for KS tests.
     """
-    params = MPParams.from_ratio(c)
-    lo, hi = params.edges
+    lo, hi = mp_edges(c)
+    atom = max(0.0, 1 - 1 / c)
     root_ab = np.sqrt(lo * hi)  # 0 at c = 1, where the last term drops out
 
     def H(t):
@@ -117,7 +107,7 @@ def mp_cdf(c):
     def cdf(x):
         x = np.asarray(x, dtype=float)
         bulk = np.clip((H(np.clip(x, lo, hi)) - h_lo) / h_span, 0.0, 1.0)
-        out = (1.0 - params.atom) * bulk + params.atom * (x >= 0)
+        out = (1.0 - atom) * bulk + atom * (x >= 0)
         return out if out.ndim else float(out)
 
     return cdf

@@ -138,22 +138,25 @@ def linear_equivalent_kernel(X, coeffs: HermiteCoeffs):
     return K
 
 
-def ck_alphas(activations):
-    """Per-layer (alpha_1, alpha_2) pairs of the CK linearization, layer 0 = (1, 0).
+def ck_alphas(act, depth):
+    """(alpha_1, alpha_2) pairs of the CK linearization at layers 0..depth, every
+    layer with activation ``act``, layer 0 = (1, 0).
 
-    alpha_{l,1} = a_{l;1} alpha_{l-1,1},
-    alpha_{l,2} = sqrt(a_{l;1}^2 alpha_{l-1,2}^2 + a_{l;2}^2 alpha_{l-1,1}^4),
-    from (alpha_{0,1}, alpha_{0,2}) = (1, 0). Every layer activation must be
-    normalized (a0 = 0, nu = 1 within 1e-8).
+    alpha_{l,1} = a_1 alpha_{l-1,1},
+    alpha_{l,2} = sqrt(a_1^2 alpha_{l-1,2}^2 + a_2^2 alpha_{l-1,1}^4),
+    from (alpha_{0,1}, alpha_{0,2}) = (1, 0). The activation must be normalized
+    (a0 = 0, nu = 1 within 1e-8).
     """
+    if depth < 0:
+        raise ValueError(f"depth {depth} must be >= 0")
+    c = hermite_coeffs(act)
+    if abs(c.a0) > 1e-8 or abs(c.nu - 1.0) > 1e-8:
+        raise ValueError(
+            f"activation {act.name!r} is not normalized "
+            f"(a0={c.a0:.2e}, nu={c.nu:.6f}); apply normalize_activation"
+        )
     alphas = [(1.0, 0.0)]
-    for layer, act in enumerate(activations, start=1):
-        c = hermite_coeffs(act)
-        if abs(c.a0) > 1e-8 or abs(c.nu - 1.0) > 1e-8:
-            raise ValueError(
-                f"layer {layer} activation {act.name!r} is not normalized "
-                f"(a0={c.a0:.2e}, nu={c.nu:.6f}); apply normalize_activation"
-            )
+    for _ in range(depth):
         a1_prev, a2_prev = alphas[-1]
         alphas.append((
             c.a1 * a1_prev,
@@ -164,7 +167,7 @@ def ck_alphas(activations):
 
 def ck_linear_equivalent(X, alphas, layer):
     """Linear equivalent of the depth-``layer`` CK matrix on sphere data, for
-    the per-layer pairs ``alphas`` of ``ck_alphas``.
+    the pairs ``alphas`` of ``ck_alphas``.
 
     K~_l = alpha_{l,1}^2 X^T X + alpha_{l,2}^2 (1/p) 11^T + (1 - alpha_{l,1}^2) I,
     the linear-equivalent kernel of coefficients (0, alpha_{l,1}, alpha_{l,2}, 1).

@@ -317,7 +317,7 @@ def test_criterion_11c_exponential_scaling_law():
 
 def test_criterion_12_ck_curse_of_depth():
     act = hk.normalize_activation(rf_nn.get_activation("tanh"))
-    params = hk.ck_alphas([act] * 10)
+    params = hk.ck_alphas(act, 10)
     a1s = [a[0] for a in params]
     strictly_dec = all(b < a for a, b in zip(a1s[1:], a1s[2:]))
     X = sphere_dataset(256, 256, 77)

@@ -183,8 +183,16 @@ RF_TOY = {**cli.EXPERIMENTS["rf-sweep"].defaults, "seed": 3, "n": 24, "p": 8,
 class TestRunExperiments:
     @pytest.mark.parametrize("experiment", list(TOY))
     def test_toy_configs_run(self, tmp_path, experiment):
+        """Two runs of one config in one process write the same files, byte for
+        byte."""
         path = write_config(tmp_path, config_text({"seed": 1, **TOY[experiment]}))
-        assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        for out in (out1, out2):
+            assert cli.main([experiment, "--config", path, "--out", str(out)]) == 0
+        names = sorted(f.name for f in out1.iterdir())
+        assert names and names == sorted(f.name for f in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     @pytest.mark.parametrize("experiment", list(TOY))
     @settings(derandomize=True, database=None, deadline=None)
@@ -285,6 +293,9 @@ class TestRunExperiments:
         ("dynamics", "eta = inf", "eta"),
         ("dynamics", "times = nan", "times"),
         ("mp", "c_list = inf", "c_list"),
+        # entries whose file tags ({c:g}) collide would overwrite each other's files
+        ("mp", "c_list = 0.5, 0.5", "c_list"),
+        ("mp", "c_list = 2, 0.5, 0.5000001", "c_list"),
         # config errors that used to surface as numerical failures or pass
         ("rf-sweep", "activation = softplus", "activation"),
         ("kernel-lin", "activation = softplus", "activation"),
@@ -326,6 +337,18 @@ class TestRunExperiments:
         err = capsys.readouterr().err
         assert re.search(rf"\b{key}\b", err), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("experiment", list(TOY))
+    def test_header_without_dataset_exit_2(self, tmp_path, capsys, experiment):
+        """``--header`` only applies to an rf-sweep dataset; elsewhere it would be
+        silently ignored."""
+        path = write_config(tmp_path, config_text({"seed": 1, **TOY[experiment]}))
+        out = tmp_path / "out"
+        assert cli.main([experiment, "--config", path, "--out", str(out),
+                         "--header"]) == 2
+        err = capsys.readouterr().err
+        assert "error: --header applies only to rf-sweep with a dataset" in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment,key", [
         ("tanh-demo", "n"), ("rf-sweep", "n"), ("kernel-lin", "sizes"),
@@ -461,7 +484,8 @@ class TestRunExperiments:
             assert abs(moment.mean() - want) <= 4 * se, (moment.mean(), want, se)
 
     def test_mp_points_draw_from_their_own_streams(self, tmp_path):
-        path = write_config(tmp_path, "seed = 4\np = 16\nc_list = 0.5, 0.5\n")
+        # two file tags, one simulated ratio: n = 32 at both entries
+        path = write_config(tmp_path, "seed = 4\np = 16\nc_list = 0.5, 0.50001\n")
         assert cli.main(["mp", "--config", path, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "mp_summary.csv").read_text().splitlines()[1:]
         ks = [row.split(",")[3] for row in rows]
@@ -712,7 +736,7 @@ class TestRunExperiments:
         np.testing.assert_allclose(R.T @ R, P1.T @ P1 / 700, rtol=0, atol=1e-12)
         Z = randgen.stream(5, 1, 0, 0).standard_normal((700, 12))
         P2 = act.evaluate(Z @ R)
-        K2t = hk.ck_linear_equivalent(X, hk.ck_alphas([act] * 2), 2)
+        K2t = hk.ck_linear_equivalent(X, hk.ck_alphas(act, 2), 2)
         want = np.linalg.norm(P2.T @ P2 / 700 - K2t, 2) / np.linalg.norm(K2t, 2)
         assert gap == pytest.approx(want, rel=1e-12)
         row = (tmp_path / "ck_depth.csv").read_text().splitlines()[-1].split(",")
@@ -726,7 +750,7 @@ class TestRunExperiments:
         X = randgen.sphere_dataset(n, n, 3)
         P1 = act.evaluate(randgen.stream(3, 0, 0, 0).standard_normal((width, n))
                           @ X.entries)
-        K2t = hk.ck_linear_equivalent(X, hk.ck_alphas([act] * 2), 2)
+        K2t = hk.ck_linear_equivalent(X, hk.ck_alphas(act, 2), 2)
         sampled, direct = np.empty((draws, n, n)), np.empty((draws, n, n))
         for seed in range(draws):
             P2 = act.evaluate(cli._second_layer(P1, randgen.stream(seed, 1, 0, 0)))

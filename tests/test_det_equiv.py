@@ -13,6 +13,24 @@ from rmt_equiv.randgen import gaussian_matrix, rademacher_matrix
 GOLDEN = (np.sqrt(5) - 1) / 2
 
 
+class TestMPEdges:
+    @pytest.mark.parametrize("c, edges", [
+        (0.25, (0.25, 2.25)), (1.0, (0.0, 4.0)), (2.25, (0.25, 6.25)), (4.0, (1.0, 9.0)),
+    ])
+    def test_closed_form(self, c, edges):
+        # sqrt(c) is exact at these c, so (1 -+ sqrt c)^2 is too
+        assert det_equiv.mp_edges(c) == edges
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, float("nan")])
+    def test_nonpositive_ratio_rejected(self, c):
+        for call in (lambda: det_equiv.mp_edges(c),
+                     lambda: det_equiv.mp_stieltjes(c, -1.0),
+                     lambda: det_equiv.mp_density(c, 1.0),
+                     lambda: det_equiv.mp_cdf(c)):
+            with pytest.raises(ValueError, match="ratio c must be positive"):
+                call()
+
+
 class TestMPStieltjes:
     def test_golden_ratio_point(self):
         assert det_equiv.mp_stieltjes(1.0, -1.0) == pytest.approx(GOLDEN, abs=1e-12)
@@ -62,17 +80,17 @@ class TestMPStieltjes:
 
     @pytest.mark.parametrize("c, x", [
         (c, x) for c in (0.25, 1.0, 4.0)
-        for x in (-3.0, -1e-3, 1.5 * det_equiv.MPParams.from_ratio(c).edges[1], 40.0)
+        for x in (-3.0, -1e-3, 1.5 * det_equiv.mp_edges(c)[1], 40.0)
     ] + [(0.25, 0.1)])
     def test_real_axis_value_is_the_transform(self, c, x):
         # both roots of the quadratic are real here, so the residual cannot tell
         # them apart; the oracle is the defining integral of the law, the
         # c > 1 atom at 0 included, and the limit from the upper half-plane
-        params = det_equiv.MPParams.from_ratio(c)
         bulk, _ = integrate.quad(lambda t: det_equiv.mp_density(c, t) / (t - x),
-                                 *params.edges, epsabs=0, epsrel=1e-13, limit=200)
+                                 *det_equiv.mp_edges(c), epsabs=0, epsrel=1e-13,
+                                 limit=200)
         m = det_equiv.mp_stieltjes(c, x)
-        assert m == pytest.approx(bulk - params.atom / x, rel=1e-10, abs=0)
+        assert m == pytest.approx(bulk - max(0.0, 1 - 1 / c) / x, rel=1e-10, abs=0)
         above = det_equiv.mp_stieltjes(c, complex(x, 1e-9 * max(1.0, abs(x))))
         assert m == pytest.approx(above.real, rel=1e-10, abs=0)
 
@@ -95,17 +113,16 @@ class TestMPDensity:
 
     def test_unit_mass_c_half(self):
         val, _ = integrate.quad(lambda x: det_equiv.mp_density(0.5, x),
-                                *det_equiv.MPParams.from_ratio(0.5).edges,
+                                *det_equiv.mp_edges(0.5),
                                 limit=300)
         assert abs(val - 1.0) < 1e-6
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 2.0])
     def test_mass_plus_atom_is_one(self, c):
-        params = det_equiv.MPParams.from_ratio(c)
-        lo = max(params.edges[0], 1e-12)
+        lo, hi = det_equiv.mp_edges(c)
         val, _ = integrate.quad(lambda x: det_equiv.mp_density(c, x),
-                                lo, params.edges[1], limit=600)
-        assert abs(val + params.atom - 1.0) < 1e-6
+                                max(lo, 1e-12), hi, limit=600)
+        assert abs(val + max(0.0, 1 - 1 / c) - 1.0) < 1e-6
 
     def test_nonpositive_x_rejected(self):
         with pytest.raises(DomainError):
@@ -122,14 +139,14 @@ class TestMPDensity:
     def test_cdf_equals_quadrature_of_the_density(self, c):
         # oracle: scipy's adaptive quadrature of mp_density from the lower edge,
         # at 40 bulk points; c = 1 puts the 1/sqrt(x) hard edge at 0
-        params = det_equiv.MPParams.from_ratio(c)
-        lo, hi = params.edges
+        lo, hi = det_equiv.mp_edges(c)
+        atom = max(0.0, 1 - 1 / c)
         xs = np.linspace(lo, hi, 42)[1:-1]
-        want = [params.atom + integrate.quad(lambda t: det_equiv.mp_density(c, t),
-                                             lo, x, limit=200)[0] for x in xs]
+        want = [atom + integrate.quad(lambda t: det_equiv.mp_density(c, t),
+                                      lo, x, limit=200)[0] for x in xs]
         np.testing.assert_allclose(det_equiv.mp_cdf(c)(xs), want, rtol=0, atol=1e-9)
         assert det_equiv.mp_cdf(c)([lo - 1.0, -1e-12, lo, hi, hi + 1.0]).tolist() == \
-            [0.0, 0.0, params.atom, 1.0, 1.0]
+            [0.0, 0.0, atom, 1.0, 1.0]
 
 
 class TestSolveDeltaSCM:

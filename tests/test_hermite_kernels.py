@@ -233,7 +233,7 @@ class TestLinearEquivalentKernel:
 
 class TestCKAlphas:
     def test_identity_layers(self):
-        params = hk.ck_alphas([rf_nn.get_activation("identity")] * 3)
+        params = hk.ck_alphas(rf_nn.get_activation("identity"), 3)
         for a1, a2 in params:
             assert a1 == pytest.approx(1.0, abs=1e-12)
             assert a2 == pytest.approx(0.0, abs=1e-12)
@@ -250,7 +250,7 @@ class TestCKAlphas:
 
     def test_normalized_tanh_alphas_decrease_geometrically(self):
         act = hk.normalize_activation(rf_nn.get_activation("tanh"))
-        params = hk.ck_alphas([act] * 10)
+        params = hk.ck_alphas(act, 10)
         a1 = hk.hermite_coeffs(act).a1
         ratios = [params[i + 1][0] / params[i][0] for i in range(10)]
         assert np.allclose(ratios, a1, atol=1e-12)
@@ -258,15 +258,39 @@ class TestCKAlphas:
 
     def test_depth_monotonicity(self):
         act = hk.normalize_activation(rf_nn.get_activation("relu"))
-        params = hk.ck_alphas([act] * 6)
+        params = hk.ck_alphas(act, 6)
         a1s = [abs(a[0]) for a in params]
         assert all(b < a for a, b in zip(a1s, a1s[1:]))
 
-    def test_unnormalized_rejected_naming_layer(self):
-        act = hk.normalize_activation(rf_nn.get_activation("tanh"))
+    def test_unnormalized_rejected_naming_activation(self):
         raw = rf_nn.get_activation("relu")
-        with pytest.raises(ValueError, match="layer 2"):
-            hk.ck_alphas([act, raw])
+        with pytest.raises(ValueError, match="activation 'relu' is not normalized"):
+            hk.ck_alphas(raw, 2)
+
+    def test_negative_depth_rejected(self):
+        act = hk.normalize_activation(rf_nn.get_activation("tanh"))
+        with pytest.raises(ValueError, match="depth -1"):
+            hk.ck_alphas(act, -1)
+        assert hk.ck_alphas(act, 0) == [(1.0, 0.0)]
+
+    def test_one_quadrature_for_every_layer(self, monkeypatch):
+        act = hk.normalize_activation(rf_nn.get_activation("tanh"))
+        c = hk.hermite_coeffs(act)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return c
+
+        monkeypatch.setattr(hk, "hermite_coeffs", counting)
+        alphas = hk.ck_alphas(act, 10)
+        assert calls == [(act,)]
+        want = [(1.0, 0.0)]
+        for _ in range(10):
+            a1_prev, a2_prev = want[-1]
+            want.append((c.a1 * a1_prev,
+                         float(np.sqrt(c.a1**2 * a2_prev**2 + c.a2**2 * a1_prev**4))))
+        assert alphas == want
 
 
 class TestCKLinearEquivalent:
@@ -285,7 +309,7 @@ class TestCKLinearEquivalent:
         X = sphere_dataset(32, 16, 4)
         act = hk.normalize_activation(rf_nn.get_activation("tanh"))
         a1 = hk.hermite_coeffs(act).a1
-        params = hk.ck_alphas([act] * 3)
+        params = hk.ck_alphas(act, 3)
         off = ~np.eye(16, dtype=bool)
         for layer in (1, 2):
             K_now = hk.ck_linear_equivalent(X, params, layer)
@@ -298,7 +322,7 @@ class TestCKLinearEquivalent:
         X = sphere_dataset(24, 18, 5)
         act = hk.normalize_activation(rf_nn.get_activation("relu"))
         c = hk.hermite_coeffs(act)
-        params = hk.ck_alphas([act])
+        params = hk.ck_alphas(act, 1)
         K_ck = hk.ck_linear_equivalent(X, params, 1)
         K_sh = hk.linear_equivalent_kernel(X, c)
         assert np.abs(K_ck - K_sh).max() <= 1e-12
@@ -340,7 +364,7 @@ class TestNTKRecursion:
     def test_psd_within_tolerance(self):
         X = sphere_dataset(20, 15, 9)
         act = hk.normalize_activation(rf_nn.get_activation("tanh"))
-        params = hk.ck_alphas([act, act])
+        params = hk.ck_alphas(act, 2)
         dcoef = hk.hermite_coeffs(
             rf_nn.ActivationSpec("dtanh", act.derivative, lambda t: t))
         gram = X.entries.T @ X.entries
