@@ -1,17 +1,18 @@
 """Experiment runner: config parsing, seeded sweeps, CSV emission.
 
 Usage:
-    rmt-equiv <experiment> --config <path> [--out <dir>] [--dataset <csv>] [--header]
+    rmt-equiv <experiment> --config <path> [--out <dir>]
 
 Experiments: mp, tanh-demo, ridge-sweep, rf-sweep, kernel-lin, ck-depth,
 dynamics. Configs are flat ``key = value`` text files ('#' starts a comment;
-lists are comma-separated). The seed is mandatory and may be overridden by the
-``RMT_EQUIV_SEED`` environment variable. All numeric CSV values are written
-with 9 significant digits; identical configs produce byte-identical CSVs.
+lists are comma-separated; a key may be set once). They hold every setting of a
+run. The seed is mandatory and may be overridden by the ``RMT_EQUIV_SEED``
+environment variable. All numeric CSV values are written with 9 significant
+digits; identical configs produce byte-identical CSVs.
 
-Exit status: 0 success; 2 bad config, dataset, misplaced ``--header`` or
-``RMT_EQUIV_SEED`` (a non-finite number is a bad config), or an ``--out`` that
-cannot be created or written; 3 numerical failure or failed allocation.
+Exit status: 0 success; 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
+non-finite number is a bad config), or an ``--out`` that cannot be created or
+written; 3 numerical failure or failed allocation.
 """
 
 import argparse
@@ -58,9 +59,9 @@ def parse_config(path, experiment) -> ExperimentConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key.startswith("_"):
-                raise ValueError(f"{path}:{lineno}: {key}: keys starting with '_' "
-                                 "are set by command-line options only")
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: {key}: set twice "
+                                 f"(first on line {raw[key][0]})")
             raw[key] = (lineno, value)
     types = {"seed": 0, **(EXPERIMENTS[experiment].defaults
                            if experiment in EXPERIMENTS else {})}
@@ -119,7 +120,7 @@ def validate(config: ExperimentConfig):
     filled = dict(entry.defaults)
     known = set(filled) | {"seed"}
     for key, val in config.params.items():
-        if key not in known and not key.startswith("_"):  # _keys are CLI-internal
+        if key not in known:
             errors.append(f"unknown key {key!r} for experiment {config.experiment}")
         filled[key] = val
     env_seed = os.environ.get("RMT_EQUIV_SEED")
@@ -132,9 +133,6 @@ def validate(config: ExperimentConfig):
         errors.append("missing mandatory key 'seed'")
     elif filled["seed"] < 0:
         errors.append("seed must be >= 0")
-    if filled.get("_header") and not (config.experiment == "rf-sweep"
-                                      and filled["dataset"]):
-        errors.append("--header applies only to rf-sweep with a dataset")
 
     for key in entry.defaults:
         vals = filled[key] if isinstance(filled[key], list) else [filled[key]]
@@ -163,13 +161,16 @@ def _check_ridge_sweep(params):
 
 
 def _check_rf_sweep(params):
-    dims = [] if params["dataset"] else _bound(params, "p", *_SPHERE_DIM)
+    synthetic = ([] if params["dataset"] else _bound(params, "p", *_SPHERE_DIM)
+                 + _bound(params, "header", lambda v: v == 0,
+                          "applies only with a dataset"))
     labels = ([] if len(set(params["labels"])) <= 2
               else ["labels must hold at most two distinct values"])
     return (_bound(params, "n p n_test trials", *_COUNT)
             + _bound(params, "d_over_n gamma", *_POSITIVE)
             + _bound(params, "d_over_n", *_simulable(params["n"], "d = d_over_n * n"))
-            + _bound(params, "sigma2", *_NONNEGATIVE) + dims + labels
+            + _bound(params, "header", lambda v: v in (0, 1), "must be 0 or 1")
+            + _bound(params, "sigma2", *_NONNEGATIVE) + synthetic + labels
             + _bound(params, "activation", *_ACTIVATION)
             + _bound(params, "normalization", *_member(NORMALIZATIONS))), []
 
@@ -295,7 +296,7 @@ def _rf_data(params):
             X_all, y_all = ingest_dataset(params["dataset"],
                                           set(params["labels"]),
                                           params["normalization"],
-                                          header=params.get("_header", False))
+                                          header=params["header"] == 1)
         except (DatasetError, OSError, ValueError) as exc:  # unreadable or unusable
             raise DatasetError(f"dataset {params['dataset']}: {exc}") from None
         if X_all.n < n + n_test:
@@ -466,7 +467,8 @@ EXPERIMENTS = {
     "rf-sweep": Experiment(
         {"d_over_n": [0.25, 0.5, 1.0, 2.0], "n": 512, "p": 256, "n_test": 512,
          "gamma": 0.1, "trials": 30, "activation": "relu", "sigma2": 0.0,
-         "dataset": "", "labels": [1.0, 2.0], "normalization": "unit-sphere"},
+         "dataset": "", "header": 0, "labels": [1.0, 2.0],
+         "normalization": "unit-sphere"},
         _check_rf_sweep, _run_rf_sweep),
     "kernel-lin": Experiment(
         {"sizes": [128, 256, 512, 1024], "activation": "relu"},
@@ -533,21 +535,12 @@ def main(argv=None):
     parser.add_argument("experiment", choices=list(EXPERIMENTS))
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=".", help="output directory for CSVs")
-    parser.add_argument("--header", action="store_true",
-                        help="dataset CSV has a header line to skip (rf-sweep)")
-    parser.add_argument("--dataset", default=None,
-                        help="label-first CSV overriding the config dataset key "
-                             "(rf-sweep)")
     args = parser.parse_args(argv)
     try:
         config = parse_config(args.config, args.experiment)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.header:
-        config.params["_header"] = True
-    if args.dataset is not None:
-        config.params["dataset"] = args.dataset
     return run(config, out_dir=args.out)
 
 

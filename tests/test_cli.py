@@ -314,9 +314,12 @@ class TestRunExperiments:
         ("ridge-sweep", "ratios = 1e300", "ratios"),
         ("mp", "c_list = 1e-300", "c_list"),
         ("rf-sweep", "d_over_n = 1e300", "d_over_n"),
-        # keys starting with '_' come from command-line options, not from a file
+        # a key starting with '_' is an unknown key like any other
         ("mp", "_sed = 9", "_sed"),
         ("rf-sweep", "_header = False", "_header"),
+        ("rf-sweep", "header = 2", "header"),
+        pytest.param("rf-sweep", "header = 2\ndataset = {data}", "header",
+                     id="rf-sweep-dataset-header-2"),
         # the experiment comes from the command line only
         ("mp", "experiment = mp", "experiment"),
         # the simulated-ratio warnings are not formed for a p that validate
@@ -332,7 +335,9 @@ class TestRunExperiments:
                                                 name="bad_row.csv"),
                            other_labels=write_config(tmp_path, "3,0.5,0.25\n4,1,0.5\n",
                                                      name="other_labels.csv"))
-        path = write_config(tmp_path, f"seed = 1\n{text}\n")
+        # a case that sets the seed itself gets no seed line, which would set it twice
+        head = "" if text.startswith("seed") else "seed = 1\n"
+        path = write_config(tmp_path, f"{head}{text}\n")
         assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert re.search(rf"\b{key}\b", err), err
@@ -340,15 +345,47 @@ class TestRunExperiments:
 
     @pytest.mark.parametrize("experiment", list(TOY))
     def test_header_without_dataset_exit_2(self, tmp_path, capsys, experiment):
-        """``--header`` only applies to an rf-sweep dataset; elsewhere it would be
-        silently ignored."""
-        path = write_config(tmp_path, config_text({"seed": 1, **TOY[experiment]}))
+        """``header`` is an rf-sweep key that applies only to a dataset; elsewhere
+        it would be silently ignored."""
+        path = write_config(tmp_path, config_text({"seed": 1, **TOY[experiment],
+                                                   "header": 1}))
         out = tmp_path / "out"
-        assert cli.main([experiment, "--config", path, "--out", str(out),
-                         "--header"]) == 2
+        assert cli.main([experiment, "--config", path, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "error: --header applies only to rf-sweep with a dataset" in err, err
+        want = ("header applies only with a dataset" if experiment == "rf-sweep"
+                else f"unknown key 'header' for experiment {experiment}")
+        assert f"error: {want}\n" in err, err
         assert not out.exists()
+
+    def test_duplicate_key_exit_2(self, tmp_path, capsys):
+        """A key set twice would run with its last value only."""
+        path = write_config(tmp_path, "seed = 1\nc_list = 0.5\np = 16\nc_list = 2\n")
+        out = tmp_path / "out"
+        assert cli.main(["mp", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {path}:4: c_list: set twice (first on line 2)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--header"])
+    def test_removed_flags_exit_2(self, tmp_path, capsys, flag):
+        """Run settings come from the config file only."""
+        flags = [flag, write_dataset(tmp_path, 30)] if flag == "--dataset" else [flag]
+        path = write_config(tmp_path, config_text({"seed": 1, **TOY["rf-sweep"]}))
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rf-sweep", "--config", path, "--out", str(out), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flags)}" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_help_lists_config_and_out_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert options == {"-h", "--help", "--config", "--out"}, options
 
     @pytest.mark.parametrize("experiment,key", [
         ("tanh-demo", "n"), ("rf-sweep", "n"), ("kernel-lin", "sizes"),
@@ -691,14 +728,20 @@ class TestRunExperiments:
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 0
 
     def test_rf_sweep_dataset_flag_and_header(self, tmp_path):
-        data = write_dataset(tmp_path, 30, seed=1, name="toy2.csv",
-                             header="label,f1,f2,f3,f4,f5,f6")
-        path = write_config(
-            tmp_path,
-            "seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
-            "trials = 2\ngamma = 0.5\n")
-        assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path),
-                         "--dataset", data, "--header"]) == 0
+        """``header = 1`` skips the dataset's first line: the run writes what a
+        ``header = 0`` run on the same rows without that line writes."""
+        runs = {}
+        for header in (0, 1):
+            data = write_dataset(tmp_path, 30, seed=1, name=f"toy{header}.csv",
+                                 header="label,f1,f2,f3,f4,f5,f6" if header else None)
+            path = write_config(
+                tmp_path,
+                "seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
+                f"trials = 2\ngamma = 0.5\ndataset = {data}\nheader = {header}\n")
+            out = tmp_path / f"out{header}"
+            assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 0
+            runs[header] = (out / "rf_sweep.csv").read_bytes()
+        assert runs[1] == runs[0]
 
     def test_kernel_lin_small(self, tmp_path):
         path = write_config(tmp_path, "seed = 1\nsizes = 32, 64\n")
