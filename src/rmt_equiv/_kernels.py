@@ -35,8 +35,10 @@ def delta_scm_iterate(c_eigs, n, z, tol, max_iter, delta0):
         delta0 + 0.0j, tol, max_iter)
 
 
-def delta_gram_iterate(k_eigs, n, d, gamma, tol, max_iter, delta0):
-    """Nonlinear-Gram DE: delta <- (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma)."""
+def delta_gram_iterate(k_eigs, d, gamma, tol, max_iter, delta0):
+    """Nonlinear-Gram DE: delta <- (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma),
+    n = k_eigs.size."""
+    n = float(k_eigs.size)
     ratio = d / n
     return _damped_iterate(
         lambda delta: np.sum(k_eigs / (ratio * k_eigs / (1.0 + delta) + gamma)) / n,

@@ -6,9 +6,10 @@ Usage:
 Experiments: mp, tanh-demo, ridge-sweep, rf-sweep, kernel-lin, ck-depth,
 dynamics. Configs are flat ``key = value`` text files ('#' starts a comment;
 lists are comma-separated; a key may be set once). They hold every setting of a
-run. The seed is mandatory and may be overridden by the ``RMT_EQUIV_SEED``
-environment variable. All numeric CSV values are written with 9 significant
-digits; identical configs produce byte-identical CSVs.
+run; an rf-sweep ``dataset`` takes ``p`` from the file and draws no noise
+(``sigma2`` must be 0). The seed is mandatory and may be overridden by the
+``RMT_EQUIV_SEED`` environment variable. All numeric CSV values are written
+with 9 significant digits; identical configs produce byte-identical CSVs.
 
 Exit status: 0 success; 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
 non-finite number is a bad config), or an ``--out`` that cannot be created or
@@ -161,16 +162,17 @@ def _check_ridge_sweep(params):
 
 
 def _check_rf_sweep(params):
-    synthetic = ([] if params["dataset"] else _bound(params, "p", *_SPHERE_DIM)
-                 + _bound(params, "header", lambda v: v == 0,
-                          "applies only with a dataset"))
+    source = (_bound(params, "sigma2", lambda v: v == 0,
+                     "applies only without a dataset") if params["dataset"]
+              else _bound(params, "p", *_SPHERE_DIM)
+              + _bound(params, "header", lambda v: v == 0, "applies only with a dataset"))
     labels = ([] if len(set(params["labels"])) <= 2
               else ["labels must hold at most two distinct values"])
     return (_bound(params, "n p n_test trials", *_COUNT)
             + _bound(params, "d_over_n gamma", *_POSITIVE)
             + _bound(params, "d_over_n", *_simulable(params["n"], "d = d_over_n * n"))
             + _bound(params, "header", lambda v: v in (0, 1), "must be 0 or 1")
-            + _bound(params, "sigma2", *_NONNEGATIVE) + synthetic + labels
+            + _bound(params, "sigma2", *_NONNEGATIVE) + source + labels
             + _bound(params, "activation", *_ACTIVATION)
             + _bound(params, "normalization", *_member(NORMALIZATIONS))), []
 
@@ -334,7 +336,7 @@ def _run_rf_sweep(params, out):
     theory = []
     for d in widths:
         try:
-            theory.append((*rf_nn.nn_mse_theory(kernels, ytr, yte, n, d, gamma), "ok"))
+            theory.append((*rf_nn.nn_mse_theory(kernels, ytr, yte, d, gamma), "ok"))
         except SingularityError:
             theory.append((float("nan"), float("nan"), "near-phase-transition"))
     del kernels
@@ -445,7 +447,7 @@ def _run_dynamics(params, out):
         cks.append(K_l)
         prev = K_l
     k_ntk = hk.ntk_recursion(cks, ckps, gram0)
-    traj = dyn.ntk_trajectory(k_ntk, y, np.zeros(n), eta, times)
+    traj = dyn.ntk_trajectory(k_ntk, y, eta, times)
     dyn.write_trajectory(os.path.join(out, "ntk_trajectory.csv"), traj)
     rows = [_row(t, "contour_vs_direct", dv) for t, dv in zip(times, devs)]
     write_rows(os.path.join(out, "dynamics_summary.csv"), rows)

@@ -82,15 +82,14 @@ def flow_loss(features, y, beta):
     return float(resid @ resid) / resid.size
 
 
-def ntk_trajectory(k_ntk, y, yhat0, eta, times):
-    """NTK-regime output trajectory yhat(t) = e^{-eta t K} yhat0 + (I - e^{-eta t K}) y."""
+def ntk_trajectory(k_ntk, y, eta, times):
+    """NTK-regime output trajectory yhat(t) = (I - e^{-eta t K}) y, from yhat(0) = 0."""
     y = np.asarray(y, dtype=float)
-    yhat0 = np.asarray(yhat0, dtype=float)
     lam, U = eigh(k_ntk)
     if lam.min() < -1e-8 * max(1.0, lam.max()):
         raise ValueError("NTK matrix must be positive semidefinite")
     out = []
-    r0 = U.T @ (yhat0 - y)
+    r0 = U.T @ -y
     for t in times:
         if t < 0:
             raise ValueError("times must be nonnegative")

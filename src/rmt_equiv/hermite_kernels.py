@@ -6,11 +6,12 @@ probabilists' Hermite polynomials under the standard Gaussian measure:
 
     a_i = E[phi(xi) He_i(xi)],  nu = E[phi(xi)^2],  xi ~ N(0, 1).
 
-Quadrature note: expectations are computed by Gauss-Legendre panels on
-[0, T] and [-T, 0] with the Gaussian weight written out explicitly. Splitting
-at zero keeps the rule exponentially accurate for the piecewise-smooth
-activations used in practice (ReLU, |t|, sign all kink at 0); plain
-Gauss-Hermite stalls near 1e-3 on those no matter the order.
+Quadrature note: expectations are computed by Gauss-Legendre panels of
+``QUADRATURE_ORDER`` nodes on [0, T] and [-T, 0] with the Gaussian weight
+written out explicitly. Splitting at zero keeps the rule exponentially
+accurate for the piecewise-smooth activations used in practice (ReLU, |t|,
+sign all kink at 0); plain Gauss-Hermite stalls near 1e-3 on those no matter
+the order.
 """
 
 from dataclasses import dataclass, replace
@@ -27,6 +28,8 @@ SQRT2PI = np.sqrt(2.0 * np.pi)
 QUAD_HALF_RANGE = 13.0
 #: degree K of the Mehler series in ``mehler_kernel``
 MEHLER_DEGREE = 40
+#: Gauss-Legendre nodes per half line in every coefficient quadrature
+QUADRATURE_ORDER = 60
 
 
 @dataclass
@@ -83,23 +86,20 @@ def gaussian_expectation(g, order):
     return weighted.sum(axis=-1)
 
 
-def scaled_coeffs(act, scales, degree, quadrature_order=60):
+def scaled_coeffs(act, scales, degree):
     """``(c, energy)`` with c[i, k] = E[phi(a_i xi) He_k(xi)] for k = 0..degree
     and energy[i] = E[phi(a_i xi)^2], for each scale a_i, from one quadrature."""
-    if quadrature_order < 20:
-        raise ValueError("quadrature order must be at least 20")
-
     def integrands(t):
         phi = act.evaluate(np.multiply.outer(scales, t))
         return np.concatenate([hermite_table(degree, t)[:, None] * phi, [phi * phi]])
 
-    values = gaussian_expectation(integrands, quadrature_order)
+    values = gaussian_expectation(integrands, QUADRATURE_ORDER)
     return values[:-1].T, values[-1]
 
 
-def hermite_coeffs(act, quadrature_order=60) -> HermiteCoeffs:
+def hermite_coeffs(act) -> HermiteCoeffs:
     """a0, a1, a2 and nu of an activation under the standard Gaussian measure."""
-    c, energy = scaled_coeffs(act, [1.0], 2, quadrature_order)
+    c, energy = scaled_coeffs(act, [1.0], 2)
     return HermiteCoeffs(*c[0].tolist(), nu=float(energy[0]))
 
 

@@ -56,17 +56,10 @@ def _check_dims(rows, cols):
         raise ValueError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
 
 
-def gaussian_matrix(rows, cols, variance, seed) -> DataMatrix:
-    """i.i.d. zero-mean Gaussian matrix with the given entry variance."""
+def gaussian_matrix(rows, cols, seed) -> DataMatrix:
+    """i.i.d. standard Gaussian matrix (zero mean, unit variance)."""
     _check_dims(rows, cols)
-    if not 0 < variance < np.inf:
-        raise ValueError("variance must be positive and finite")
-    # the same values as rng.normal(0.0, sqrt(variance), ...), which computes
-    # 0 + sqrt(variance) * z, without the extra pass at unit variance
-    entries = np.random.default_rng(seed).standard_normal((rows, cols))
-    if variance != 1:
-        entries *= np.sqrt(variance)
-    return DataMatrix(entries)
+    return DataMatrix(np.random.default_rng(seed).standard_normal((rows, cols)))
 
 
 def sample_count(ratio, size):
@@ -175,14 +168,14 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
                 raise DatasetError(f"row {idx}: expected {width} features, "
                                    f"got {feats.size}")
             if lab in labels_keep:
+                # unlike generated data, a file may hold a NaN or an infinity
+                if not np.all(np.isfinite(feats)):
+                    raise DatasetError(f"row {idx}: non-finite feature")
                 cols.append(feats)
                 labels.append(lab)
     if not cols:
         raise DatasetError(f"no rows with labels {labels_keep} in {path}")
     entries = np.stack(cols, axis=1)
-    # unlike generated data, a file may hold a NaN or a zero sample
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("entries must all be finite")
     norms = np.linalg.norm(entries, axis=0)
     if not norms.all():
         raise DatasetError(f"filtered sample {np.argmin(norms)} (0-based) has norm 0")

@@ -152,8 +152,9 @@ def kernel_triplet(X, X_test, act: ActivationSpec) -> KernelTriplet:
     return KernelTriplet(np.clip(lam, 0.0, None), U, U.T @ cross, test_trace)
 
 
-def nonlinear_de_delta(K_eigenvalues, n, d, gamma) -> NonlinearDE:
-    """Fixed point delta = (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma)."""
+def nonlinear_de_delta(K_eigenvalues, d, gamma) -> NonlinearDE:
+    """Fixed point delta = (1/n) sum_i k_i / ((d/n) k_i/(1+delta) + gamma), over
+    the n eigenvalues k_i of the train kernel."""
     k = np.asarray(K_eigenvalues, dtype=float)
     if np.any(k < 0) or not np.any(k > 0):
         raise ValueError("kernel eigenvalues must be nonnegative and not all zero")
@@ -161,17 +162,18 @@ def nonlinear_de_delta(K_eigenvalues, n, d, gamma) -> NonlinearDE:
         raise ValueError("gamma must be positive")
     delta0 = max(np.mean(k) / gamma, 1.0)
     delta, resid, iters, ok = _kernels.delta_gram_iterate(
-        k, float(n), float(d), gamma, FP_TOL, MAX_FP_ITERATIONS, delta0
+        k, float(d), gamma, FP_TOL, MAX_FP_ITERATIONS, delta0
     )
     if not ok:
         raise ConvergenceError(f"nonlinear DE fixed point did not converge (gamma="
                                f"{gamma}): residual {resid:.3e} after {iters} iterations")
-    return NonlinearDE(delta=float(delta), k_tilde_scale=(d / n) / (1.0 + delta),
+    return NonlinearDE(delta=float(delta), k_tilde_scale=(d / k.size) / (1.0 + delta),
                        residual=float(resid), iterations=iters)
 
 
-def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
-    """Deterministic-equivalent train and test MSEs of the random-feature ridge.
+def nn_mse_theory(kernels: KernelTriplet, y, y_test, d, gamma):
+    """Deterministic-equivalent train and test MSEs of the random-feature ridge
+    on the n = y.size train and n' = y_test.size test samples.
 
     Evaluates, with K~ = (d/n) K/(1+delta) and Q~ = (K~ + gamma I)^{-1},
 
@@ -188,7 +190,7 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
     lam, U, Ukx = kernels.lam, kernels.U, kernels.Ukx
     if lam.size != y.size or Ukx.shape[1] != y_test.size:
         raise ValueError("kernel blocks inconsistent with target lengths")
-    de = nonlinear_de_delta(lam, n, d, gamma)
+    de = nonlinear_de_delta(lam, d, gamma)
     scale = de.k_tilde_scale
     kt = scale * lam                       # eigenvalues of K~
     qt = 1.0 / (kt + gamma)                # eigenvalues of Q~
@@ -203,7 +205,7 @@ def nn_mse_theory(kernels: KernelTriplet, y, y_test, n, d, gamma):
     yU = U.T @ y
     yQ2y = float(np.sum(yU * yU * qt * qt))
     yQKQy = float(np.sum(yU * yU * kt * qt * qt))
-    e_train = gamma**2 / n * ((tr_QKQ / denom) * yQKQy + yQ2y)
+    e_train = gamma**2 / y.size * ((tr_QKQ / denom) * yQKQy + yQ2y)
 
     n_test = y_test.size
     fit_resid = y_test - scale * (Ukx.T @ (qt * yU))

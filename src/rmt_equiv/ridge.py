@@ -261,7 +261,7 @@ def bidiagonal_risks(a, s, b, z, n, gamma, sigma2):
 def _direct_trial(p, n, truth, seed):
     """(r_in, r_out) of the min-norm fit on one p x n Gaussian draw, which is
     freed on return."""
-    X = gaussian_matrix(p, n, 1.0, seed)
+    X = gaussian_matrix(p, n, seed)
     y = linear_targets(X, truth, seed + 50_000_000)
     risks = empirical_risks(ridge_fit(X, y, 0.0), truth, X)
     return risks.r_in, risks.r_out

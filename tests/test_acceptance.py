@@ -36,7 +36,7 @@ def scm_eigs():
     """Eigenvalues of (1/n) X X^T at p=1024, n=2048 for both entry laws,
     with per-distribution wall time (generation + eigendecomposition)."""
     out = {}
-    for name, maker in (("gaussian", lambda: gaussian_matrix(1024, 2048, 1.0, 31337)),
+    for name, maker in (("gaussian", lambda: gaussian_matrix(1024, 2048, 31337)),
                         ("rademacher", lambda: rademacher_matrix(1024, 2048, 31338))):
         t0 = time.monotonic()
         X = maker().entries
@@ -181,8 +181,8 @@ def test_criterion_07_contour_oracle():
 
 
 def test_criterion_08_hermite_coefficients():
-    a1_tanh = hk.hermite_coeffs(rf_nn.get_activation("tanh"), 60).a1
-    c = hk.hermite_coeffs(rf_nn.get_activation("relu"), 60)
+    a1_tanh = hk.hermite_coeffs(rf_nn.get_activation("tanh")).a1
+    c = hk.hermite_coeffs(rf_nn.get_activation("relu"))
     oracle = (1 / np.sqrt(2 * np.pi), 0.5,
               (np.sqrt(2 / np.pi) - 1 / np.sqrt(2 * np.pi)) / np.sqrt(2), 0.5)
     dev_relu = max(abs(c.a0 - oracle[0]), abs(c.a1 - oracle[1]),
@@ -223,7 +223,7 @@ def test_criterion_10_rf_mse_theory():
     details = []
     for i, dn in enumerate((0.25, 0.5, 1.0, 2.0)):
         d = int(dn * n)
-        th_tr, th_te = rf_nn.nn_mse_theory(kernels, ytr, yte, n, d, gamma)
+        th_tr, th_te = rf_nn.nn_mse_theory(kernels, ytr, yte, d, gamma)
         emp_tr, emp_te = np.empty(trials), np.empty(trials)
         for t in range(trials):
             W = np.random.default_rng(9000 + 1000 * i + t).standard_normal((d, p))
@@ -255,7 +255,7 @@ def test_criterion_10_optional_mnist_reproduction():
     Xte = DataMatrix(X_all.entries[:, n:n + n_test])
     kernels = rf_nn.kernel_triplet(Xtr, Xte, rf_nn.get_activation("relu"))
     _, th_te = rf_nn.nn_mse_theory(kernels, y_all[:n], y_all[n:n + n_test],
-                                   n, 2 * n, 0.1)
+                                   2 * n, 0.1)
     print(f"[criterion 10 optional] MNIST test-MSE theory = {th_te:.6f} "
           f"(reference 0.061402)")
 
@@ -272,7 +272,7 @@ def test_criterion_11b_gamma_delta_monotone():
     lam = np.clip(np.linalg.eigvalsh(B @ B.T / 256), 1e-9, None)
     n, d = 256, 128
     theta = rf_nn.theta_fixed_point(lam, d / n)
-    gaps = [rf_nn.nonlinear_de_delta(lam, n, d, g).delta * g - theta
+    gaps = [rf_nn.nonlinear_de_delta(lam, d, g).delta * g - theta
             for g in (1e-2, 1e-4, 1e-6)]
     ok = all(g > 0 for g in gaps) and gaps[0] > gaps[1] > gaps[2]
     report("11b", "gamma*delta -> theta monotone", ok,
@@ -366,7 +366,7 @@ def test_criterion_13_dynamics():
     B = rng.standard_normal((40, 40))
     K_ntk = B @ B.T / 40
     times = [0.0, 0.3, 1.0, 3.0, 10.0]
-    losses = [s.loss for s in dyn.ntk_trajectory(K_ntk, y, np.zeros(40), eta, times)]
+    losses = [s.loss for s in dyn.ntk_trajectory(K_ntk, y, eta, times)]
     monotone = all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
     ok = dev_inf <= 1e-10 and dev_contour <= 1e-7 and monotone
     report(13, "dynamics", ok,

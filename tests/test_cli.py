@@ -419,8 +419,7 @@ class TestRunExperiments:
                                       f"dataset = {data}\n")
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert f"error: dataset {data}: entries must all be finite" in err, err
-        assert "Traceback" not in err
+        assert err == f"error: dataset {data}: row 2: non-finite feature\n", err
 
     def test_complex_contour_projection_exit_3(self, tmp_path, capsys):
         # the shipped dynamics sizes at t = 200: the contour quadrature loses
@@ -726,6 +725,22 @@ class TestRunExperiments:
             f"seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
             f"trials = 2\ngamma = 0.5\ndataset = {data}\n")
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 0
+
+    def test_rf_sweep_dataset_rejects_sigma2(self, tmp_path, capsys):
+        """A dataset run draws no noise, so a nonzero ``sigma2`` beside a
+        ``dataset`` would be silently ignored."""
+        data = write_dataset(tmp_path, 30)
+        text = ("seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
+                f"trials = 2\ngamma = 0.5\ndataset = {data}\n")
+        out = tmp_path / "out"
+        path = write_config(tmp_path, text + "sigma2 = 0.5\n")
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: sigma2 applies only without a dataset\n" in err, err
+        assert not out.exists()
+        path = write_config(tmp_path, text)
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 0
+        assert (out / "rf_sweep.csv").exists()
 
     def test_rf_sweep_dataset_flag_and_header(self, tmp_path):
         """``header = 1`` skips the dataset's first line: the run writes what a

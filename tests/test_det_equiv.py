@@ -199,7 +199,7 @@ class TestDEResolvents:
 
     def test_gram_trace_monte_carlo(self):
         n = p = 1024
-        X = gaussian_matrix(p, n, 1.0, 202).entries
+        X = gaussian_matrix(p, n, 202).entries
         G = X.T @ X / n
         emp = np.mean(1.0 / (np.linalg.eigvalsh(G) + 1.0))
         _, s = det_equiv.de_resolvents(np.ones(p), n, -1.0)
@@ -213,10 +213,7 @@ class TestDEAccuracy:
     def test_trace_and_bilinear(self, maker):
         p = n = 512
         gamma = 1.0
-        if maker is gaussian_matrix:
-            X = maker(p, n, 1.0, 77).entries
-        else:
-            X = maker(p, n, 77).entries
+        X = maker(p, n, 77).entries
         Chat = X @ X.T / n
         lam, U = np.linalg.eigh(Chat)
         diag, _ = det_equiv.de_resolvents(np.ones(p), n, -gamma)

@@ -66,8 +66,7 @@ class TestNtkTrajectory:
     def test_time_zero(self):
         K = np.eye(3)
         y = np.array([1.0, -1.0, 0.5])
-        yhat0 = np.zeros(3)
-        samples = dyn.ntk_trajectory(K, y, yhat0, 1.0, [0.0])
+        samples = dyn.ntk_trajectory(K, y, 1.0, [0.0])
         assert samples[0].loss == pytest.approx(np.mean(y**2))
 
     def test_positive_definite_converges(self):
@@ -75,7 +74,7 @@ class TestNtkTrajectory:
         B = rng.standard_normal((6, 6))
         K = B @ B.T + np.eye(6)
         y = rng.standard_normal(6)
-        samples = dyn.ntk_trajectory(K, y, np.zeros(6), 1.0, [0.0, 1.0, 100.0])
+        samples = dyn.ntk_trajectory(K, y, 1.0, [0.0, 1.0, 100.0])
         assert samples[-1].loss <= 1e-12
         losses = [s.loss for s in samples]
         for a, b in zip(losses, losses[1:]):
@@ -85,15 +84,14 @@ class TestNtkTrajectory:
         # K with kernel direction e3: that error component never decays
         K = np.diag([2.0, 1.0, 0.0])
         y = np.array([0.0, 0.0, 1.0])
-        yhat0 = np.zeros(3)
-        samples = dyn.ntk_trajectory(K, y, yhat0, 1.0, [0.0, 5.0, 50.0])
+        samples = dyn.ntk_trajectory(K, y, 1.0, [0.0, 5.0, 50.0])
         for s in samples:
             assert s.loss == pytest.approx(1.0 / 3.0)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             dyn.ntk_trajectory(np.array([[1.0, 1.0], [0.0, 1.0]]),
-                               np.ones(2), np.zeros(2), 1.0, [0.0])
+                               np.ones(2), 1.0, [0.0])
 
 
 class TestContourProjection:

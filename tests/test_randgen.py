@@ -9,48 +9,39 @@ from rmt_equiv.errors import DatasetError
 
 class TestGaussianMatrix:
     def test_same_seed_identical(self):
-        a = randgen.gaussian_matrix(2, 2, 1.0, 7)
-        b = randgen.gaussian_matrix(2, 2, 1.0, 7)
+        a = randgen.gaussian_matrix(2, 2, 7)
+        b = randgen.gaussian_matrix(2, 2, 7)
         assert np.array_equal(a.entries, b.entries)
 
     def test_different_seed_differs(self):
-        a = randgen.gaussian_matrix(4, 4, 1.0, 7)
-        b = randgen.gaussian_matrix(4, 4, 1.0, 8)
+        a = randgen.gaussian_matrix(4, 4, 7)
+        b = randgen.gaussian_matrix(4, 4, 8)
         assert not np.array_equal(a.entries, b.entries)
 
     def test_mean_clt_bound(self):
         # CLT: sample mean of 10^6 unit-variance entries is within 4/1000 of 0
-        X = randgen.gaussian_matrix(1000, 1000, 1.0, 3)
+        X = randgen.gaussian_matrix(1000, 1000, 3)
         assert abs(X.entries.mean()) < 4e-3
 
     def test_column_norm_concentration(self):
-        # chi-square concentration at variance 1/512
-        X = randgen.gaussian_matrix(512, 512, 1.0 / 512, 11)
-        norms = np.linalg.norm(X.entries, axis=0)
+        # chi-square concentration: a column's norm is near sqrt(512)
+        X = randgen.gaussian_matrix(512, 512, 11)
+        norms = np.linalg.norm(X.entries, axis=0) / np.sqrt(512)
         assert np.abs(norms - 1.0).max() < 0.2
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            randgen.gaussian_matrix(0, 3, 1.0, 0)
-        with pytest.raises(ValueError):
-            randgen.gaussian_matrix(3, 3, 0.0, 0)
+            randgen.gaussian_matrix(0, 3, 0)
 
-    @pytest.mark.parametrize("variance", [np.inf, np.nan])
-    def test_non_finite_variance_rejected(self, variance):
-        # a draw is not scanned for finiteness, so the variance is checked
-        with pytest.raises(ValueError, match="variance"):
-            randgen.gaussian_matrix(3, 3, variance, 0)
-
-    @pytest.mark.parametrize("variance", [1.0, 2.5])
-    def test_same_values_as_generator_normal(self, variance):
-        X = randgen.gaussian_matrix(30, 20, variance, 9)
-        want = np.random.default_rng(9).normal(0.0, np.sqrt(variance), (30, 20))
+    def test_same_values_as_generator_standard_normal(self):
+        X = randgen.gaussian_matrix(30, 20, 9)
+        want = np.random.default_rng(9).standard_normal((30, 20))
         assert np.array_equal(X.entries, want)
 
     def test_variance_contract(self):
-        X = randgen.gaussian_matrix(1000, 1000, 2.0, 5)
+        X = randgen.gaussian_matrix(1000, 1000, 5)
         pn = X.entries.size
-        assert abs(X.entries.var() - 2.0) < 2.0 * 4 / np.sqrt(pn)
+        assert abs(X.entries.var() - 1.0) < 4 / np.sqrt(pn)
 
 
 class TestStream:
@@ -136,19 +127,19 @@ class TestLinearTargets:
 
     def test_pure_noise_variance(self):
         n = 40_000
-        X = randgen.gaussian_matrix(2, n, 1.0, 0)
+        X = randgen.gaussian_matrix(2, n, 0)
         truth = randgen.GroundTruth(np.zeros(2), 1.0)
         y = randgen.linear_targets(X, truth, 9)
         assert abs(y.var() - 1.0) < 4 / np.sqrt(n)
 
     def test_determinism(self):
-        X = randgen.gaussian_matrix(4, 6, 1.0, 0)
+        X = randgen.gaussian_matrix(4, 6, 0)
         truth = randgen.GroundTruth(np.ones(4), 0.5)
         assert np.array_equal(randgen.linear_targets(X, truth, 3),
                               randgen.linear_targets(X, truth, 3))
 
     def test_dimension_mismatch(self):
-        X = randgen.gaussian_matrix(4, 6, 1.0, 0)
+        X = randgen.gaussian_matrix(4, 6, 0)
         truth = randgen.GroundTruth(np.ones(3), 0.0)
         with pytest.raises(ValueError):
             randgen.linear_targets(X, truth, 0)
@@ -217,7 +208,7 @@ class TestIngestDataset:
     @pytest.mark.parametrize("normalization", ["none", "unit-sphere", "global-spectral"])
     def test_non_finite_feature_rejected(self, tmp_path, value, normalization):
         path = self._write(tmp_path, f"1,0.5,0.5\n1,{value},3\n")
-        with pytest.raises(ValueError, match="entries must all be finite"):
+        with pytest.raises(DatasetError, match="^row 2: non-finite feature$"):
             randgen.ingest_dataset(path, {1}, normalization)
 
     def test_header_skip(self, tmp_path):

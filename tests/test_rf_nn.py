@@ -259,12 +259,12 @@ class TestReluPairKernel:
 
 class TestNonlinearDeDelta:
     def test_identity_kernel_golden(self):
-        de = rf_nn.nonlinear_de_delta(np.ones(64), 64, 64, 1.0)
+        de = rf_nn.nonlinear_de_delta(np.ones(64), 64, 1.0)
         assert de.delta == pytest.approx(GOLDEN, abs=1e-10)
         assert de.residual <= 1e-13
 
     def test_wide_limit(self):
-        de = rf_nn.nonlinear_de_delta(np.ones(32), 32, 32 * 10**6, 1.0)
+        de = rf_nn.nonlinear_de_delta(np.ones(32), 32 * 10**6, 1.0)
         assert de.delta <= 1e-5
 
     def test_empirical_trace_agreement(self):
@@ -274,7 +274,7 @@ class TestNonlinearDeDelta:
         K = rf_nn.kernel_expectation(X, X, act)
         lam = np.clip(np.linalg.eigvalsh(K), 0.0, None)
         gamma = 0.1
-        de = rf_nn.nonlinear_de_delta(lam, n, d, gamma)
+        de = rf_nn.nonlinear_de_delta(lam, d, gamma)
         qt = 1.0 / (de.k_tilde_scale * lam + gamma)
         rng = np.random.default_rng(7)
         W = rng.standard_normal((d, 256))
@@ -284,9 +284,9 @@ class TestNonlinearDeDelta:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            rf_nn.nonlinear_de_delta(np.zeros(4), 4, 4, 1.0)
+            rf_nn.nonlinear_de_delta(np.zeros(4), 4, 1.0)
         with pytest.raises(ValueError):
-            rf_nn.nonlinear_de_delta(np.ones(4), 4, 4, 0.0)
+            rf_nn.nonlinear_de_delta(np.ones(4), 4, 0.0)
 
 
 class TestNnMseTheory:
@@ -301,15 +301,25 @@ class TestNnMseTheory:
     def test_train_equals_test_on_same_data(self):
         X, _, y, _ = self._setup()
         kernels = rf_nn.kernel_triplet(X, X, rf_nn.get_activation("relu"))
-        e_train, e_test = rf_nn.nn_mse_theory(kernels, y, y, y.size, 32, 0.25)
+        e_train, e_test = rf_nn.nn_mse_theory(kernels, y, y, 32, 0.25)
         assert e_test == pytest.approx(e_train, abs=1e-10)
 
     def test_large_gamma_limit(self):
         X, Xt, y, yt = self._setup(1)
         act = rf_nn.get_activation("relu")
         kernels = rf_nn.kernel_triplet(X, Xt, act)
-        e_train, _ = rf_nn.nn_mse_theory(kernels, y, yt, y.size, 24, 1e6)
+        e_train, _ = rf_nn.nn_mse_theory(kernels, y, yt, 24, 1e6)
         assert e_train == pytest.approx(np.mean(y**2), rel=1e-3)
+
+    @pytest.mark.parametrize("short", ["train", "test"])
+    def test_target_lengths_must_match_kernel_blocks(self, short):
+        # n and n' are read off the targets, so a target of the wrong length
+        # must not reach the formulas
+        X, Xt, y, yt = self._setup(4)
+        kernels = rf_nn.kernel_triplet(X, Xt, rf_nn.get_activation("relu"))
+        y, yt = (y[:-1], yt) if short == "train" else (y, yt[:-1])
+        with pytest.raises(ValueError, match="inconsistent with target lengths"):
+            rf_nn.nn_mse_theory(kernels, y, yt, 24, 0.25)
 
     def test_empirical_agreement_single_point(self):
         n, p, d, gamma = 256, 128, 256, 0.1
@@ -321,7 +331,7 @@ class TestNnMseTheory:
         y, yt = X.entries.T @ b, Xt.entries.T @ b
         act = rf_nn.get_activation("relu")
         kernels = rf_nn.kernel_triplet(X, Xt, act)
-        th_train, th_test = rf_nn.nn_mse_theory(kernels, y, yt, n, d, gamma)
+        th_train, th_test = rf_nn.nn_mse_theory(kernels, y, yt, d, gamma)
         tr, te = [], []
         for t in range(15):
             W = np.random.default_rng(50 + t).standard_normal((d, p))
@@ -342,14 +352,14 @@ class TestNnMseTheory:
         monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(1) or eigh(A))
         kernels = rf_nn.kernel_triplet(X, Xt, act)
         assert len(calls) == 1
-        got = [rf_nn.nn_mse_theory(kernels, y, yt, n, d, gamma) for d in (12, 48, 96)]
+        got = [rf_nn.nn_mse_theory(kernels, y, yt, d, gamma) for d in (12, 48, 96)]
         monkeypatch.undo()
         assert len(calls) == 1
         blocks = [rf_nn.kernel_expectation(A, B, act)
                   for A, B in ((X, X), (X, Xt), (Xt, Xt))]
         for d, (e_train, e_test) in zip((12, 48, 96), got):
             lam = np.clip(np.linalg.eigvalsh(blocks[0]), 0.0, None)
-            scale = rf_nn.nonlinear_de_delta(lam, n, d, gamma).k_tilde_scale
+            scale = rf_nn.nonlinear_de_delta(lam, d, gamma).k_tilde_scale
             Kt, Kx, Kxx = (scale * K for K in blocks)
             Q = np.linalg.inv(Kt + gamma * np.eye(n))
             denom = d - np.trace(Kt @ Q @ Kt @ Q)
@@ -370,8 +380,8 @@ class TestNnMseTheory:
         ratios = [0.25, 0.5, 1.0, 1.5, 2.0]
         tests = []
         for dn in ratios:
-            _, e_test = rf_nn.nn_mse_theory(kernels, y, yt, 64,
-                                            max(1, int(64 * dn)), 1e-5)
+            _, e_test = rf_nn.nn_mse_theory(kernels, y, yt, max(1, int(64 * dn)),
+                                            1e-5)
             tests.append(e_test)
         assert np.argmax(tests) == ratios.index(1.0)
 
@@ -467,7 +477,7 @@ class TestThetaFixedPoint:
         theta = rf_nn.theta_fixed_point(lam, d / n)
         gaps = []
         for gamma in (1e-2, 1e-4, 1e-6):
-            de = rf_nn.nonlinear_de_delta(lam, n, d, gamma)
+            de = rf_nn.nonlinear_de_delta(lam, d, gamma)
             gaps.append(gamma * de.delta - theta)
         assert all(g > 0 for g in gaps)             # approach from above
         assert gaps[0] > gaps[1] > gaps[2]           # monotone

@@ -81,7 +81,7 @@ def per_trial_allocation_sweep(spec):
         r_in, r_out = np.empty(spec.trials), np.empty(spec.trials)
         base = spec.seed + 100_003 * i
         for t in range(spec.trials):
-            X = gaussian_matrix(p, n, 1.0, base + t)
+            X = gaussian_matrix(p, n, base + t)
             y = linear_targets(X, truth, base + t + 50_000_000)
             risks = ridge.empirical_risks(ridge.ridge_fit(X, y, gamma), truth, X)
             r_in[t], r_out[t] = risks.r_in, risks.r_out
@@ -213,20 +213,20 @@ class TestRidgeFit:
 
 class TestEmpiricalRisks:
     def test_perfect_solution(self):
-        X = gaussian_matrix(4, 8, 1.0, 0)
+        X = gaussian_matrix(4, 8, 0)
         truth = GroundTruth(np.ones(4), 0.0)
         risks = ridge.empirical_risks(np.ones(4), truth, X)
         assert risks.r_in == pytest.approx(0.0) and risks.r_out == pytest.approx(0.0)
 
     def test_unit_shift_out_of_sample(self):
-        X = gaussian_matrix(4, 8, 1.0, 1)
+        X = gaussian_matrix(4, 8, 1)
         truth = GroundTruth(np.zeros(4), 0.0)
         beta = np.zeros(4)
         beta[0] = 1.0
         assert ridge.empirical_risks(beta, truth, X).r_out == pytest.approx(1.0)
 
     def test_dimension_mismatch_rejected(self):
-        X = gaussian_matrix(4, 8, 1.0, 2)
+        X = gaussian_matrix(4, 8, 2)
         truth = GroundTruth(np.zeros(4), 0.0)
         for beta in (np.zeros(3), np.zeros(1)):  # (1,) would broadcast
             with pytest.raises(ValueError, match="dimensions disagree"):
