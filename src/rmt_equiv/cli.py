@@ -7,13 +7,12 @@ Experiments: mp, tanh-demo, ridge-sweep, rf-sweep, kernel-lin, ck-depth,
 dynamics. Configs are flat ``key = value`` text files ('#' starts a comment;
 lists are comma-separated; a key may be set once). They hold every setting of a
 run; an rf-sweep ``dataset`` takes ``p`` from the file and draws no noise
-(``sigma2`` must be 0). The seed is mandatory and may be overridden by the
-``RMT_EQUIV_SEED`` environment variable. All numeric CSV values are written
-with 9 significant digits; identical configs produce byte-identical CSVs.
+(``sigma2`` must be 0). The seed is mandatory. All numeric CSV values are
+written with 9 significant digits; identical configs produce byte-identical CSVs.
 
-Exit status: 0 success; 2 bad config, dataset or ``RMT_EQUIV_SEED`` (a
-non-finite number is a bad config), or an ``--out`` that cannot be created or
-written; 3 numerical failure or failed allocation.
+Exit status: 0 success; 2 bad config or dataset (a non-finite number is a bad
+config), or an ``--out`` that cannot be created or written; 3 numerical failure
+or failed allocation.
 """
 
 import argparse
@@ -124,12 +123,6 @@ def validate(config: ExperimentConfig):
         if key not in known:
             errors.append(f"unknown key {key!r} for experiment {config.experiment}")
         filled[key] = val
-    env_seed = os.environ.get("RMT_EQUIV_SEED")
-    if env_seed is not None:
-        try:
-            filled["seed"] = int(env_seed)
-        except ValueError as exc:
-            errors.append(f"RMT_EQUIV_SEED: {exc}")
     if "seed" not in filled:
         errors.append("missing mandatory key 'seed'")
     elif filled["seed"] < 0:
@@ -500,7 +493,7 @@ EXPERIMENTS = {
 
 def run(config: ExperimentConfig, out_dir=".", threads=1):
     """Execute a validated experiment; returns the process exit status."""
-    # threads is ignored (experiments run on one thread); perfbench/worker.py passes it
+    # threads is unused (BLAS keeps its default thread count); perfbench/worker.py sets it
     config, errors, warnings_ = validate(config)
     for w in warnings_:
         print(f"warning: {w}", file=sys.stderr)

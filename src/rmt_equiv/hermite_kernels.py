@@ -59,17 +59,17 @@ def hermite_poly(i, t):
     return hermite_table(i, t)[i]
 
 
-def _half_line_rule(order):
-    x, w = legendre.leggauss(order)
+def _half_line_rule():
+    x, w = legendre.leggauss(QUADRATURE_ORDER)
     t = 0.5 * (x + 1.0) * QUAD_HALF_RANGE
     w = 0.5 * QUAD_HALF_RANGE * w * np.exp(-0.5 * t * t) / SQRT2PI
     return t, w
 
 
-def gaussian_expectation(g, order):
+def gaussian_expectation(g):
     """E[g(xi)], xi ~ N(0,1), by zero-split Gauss-Legendre with Gaussian weight.
     ``g`` may stack integrands (nodes on the last axis); each is checked alone."""
-    t, w = _half_line_rule(order)
+    t, w = _half_line_rule()
     weighted = np.concatenate([w, w]) * np.concatenate([g(t), g(-t)], axis=-1)
     if not np.all(np.isfinite(weighted)):
         raise DomainError(
@@ -77,7 +77,7 @@ def gaussian_expectation(g, order):
         )
     # the weighted integrand must have decayed at the edge of the window,
     # otherwise the Gaussian integral itself is divergent (super-exponential g)
-    edge = np.maximum(abs(weighted[..., order - 1]), abs(weighted[..., -1]))
+    edge = np.maximum(abs(weighted[..., len(t) - 1]), abs(weighted[..., -1]))
     if np.any(edge > 1e-10 * np.abs(weighted).sum(axis=-1)):
         raise DomainError(
             "integrand has not decayed at |t| = 13: activation appears to grow "
@@ -93,7 +93,7 @@ def scaled_coeffs(act, scales, degree):
         phi = act.evaluate(np.multiply.outer(scales, t))
         return np.concatenate([hermite_table(degree, t)[:, None] * phi, [phi * phi]])
 
-    values = gaussian_expectation(integrands, QUADRATURE_ORDER)
+    values = gaussian_expectation(integrands)
     return values[:-1].T, values[-1]
 
 

@@ -118,8 +118,6 @@ def risk_theory(gamma, c, beta_norm2, sigma2) -> RiskPair:
     """Closed-form asymptotic risks in the proportional regime."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    if not c > 0:
-        raise ValueError("ratio c must be positive")
     if gamma == 0:
         return ridgeless_limits(c, beta_norm2, sigma2)
     m = mp_stieltjes(c, -gamma).real

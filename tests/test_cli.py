@@ -1,5 +1,6 @@
 """Config parsing/validation and end-to-end experiment runs at desk scale."""
 
+import ast
 import io
 import math
 import os
@@ -60,6 +61,21 @@ def test_package_keeps_what_perfbench_reads():
     assert rmt_equiv.HAS_NUMBA is False
 
 
+def test_library_reads_no_environment():
+    """A run is its config file: no library module reads an environment variable."""
+    banned = {"environ", "environb", "getenv", "getenvb"}
+    hits = []
+    for path in sorted((ROOT / "src" / "rmt_equiv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({node.attr} if isinstance(node, ast.Attribute)
+                     else {node.id} if isinstance(node, ast.Name)
+                     else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else set())
+            if names & banned:
+                hits.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not hits, hits
+
+
 class TestParseValidate:
     def test_parse_types(self, tmp_path):
         path = write_config(tmp_path, """
@@ -111,12 +127,6 @@ class TestParseValidate:
         assert not errors
         assert filled.params["p"] == 1024
         assert filled.params["c_list"] == [0.1, 0.5, 1.0, 2.0]
-
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        cfg = cli.parse_config(write_config(tmp_path, "seed = 5\n"), "mp")
-        monkeypatch.setenv("RMT_EQUIV_SEED", "99")
-        filled, _, _ = cli.validate(cfg)
-        assert filled.params["seed"] == 99
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = cli.parse_config(write_config(tmp_path, "seed = 1\nbogus = 2\n"), "mp")
@@ -182,13 +192,15 @@ RF_TOY = {**cli.EXPERIMENTS["rf-sweep"].defaults, "seed": 3, "n": 24, "p": 8,
 
 class TestRunExperiments:
     @pytest.mark.parametrize("experiment", list(TOY))
-    def test_toy_configs_run(self, tmp_path, experiment):
+    def test_toy_configs_run(self, tmp_path, monkeypatch, experiment):
         """Two runs of one config in one process write the same files, byte for
-        byte."""
+        byte. The second runs with ``RMT_EQUIV_SEED`` set to another seed: the
+        seed comes from the config alone."""
         path = write_config(tmp_path, config_text({"seed": 1, **TOY[experiment]}))
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             assert cli.main([experiment, "--config", path, "--out", str(out)]) == 0
+            monkeypatch.setenv("RMT_EQUIV_SEED", "2")
         names = sorted(f.name for f in out1.iterdir())
         assert names and names == sorted(f.name for f in out2.iterdir())
         for name in names:
@@ -226,7 +238,6 @@ class TestRunExperiments:
             return rng
 
         monkeypatch.setattr(np.random, "default_rng", recording)
-        monkeypatch.delenv("RMT_EQUIV_SEED", raising=False)
         path = write_config(tmp_path, config_text({"seed": 5, **TOY[experiment]}))
         assert cli.main([experiment, "--config", path, "--out", str(tmp_path)]) == 0
         assert keys and {entropy for entropy, _ in keys} == {5}, keys
@@ -240,8 +251,7 @@ class TestRunExperiments:
             "from rmt_equiv import cli\n"
             f"assert cli.run(cli.parse_config({path!r}, 'mp'), {str(tmp_path)!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        env = {key: val for key, val in os.environ.items() if key != "RMT_EQUIV_SEED"}
-        env["PYTHONPATH"] = str(ROOT / "src")
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -531,21 +541,15 @@ class TestRunExperiments:
         assert ks == want and ks[0] != ks[1]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_shipped_mp_ks_within_tolerance(self, tmp_path, monkeypatch, seed):
-        monkeypatch.setenv("RMT_EQUIV_SEED", str(seed))
-        shipped = str(ROOT / "configs" / "mp.cfg")
-        assert cli.main(["mp", "--config", shipped, "--out", str(tmp_path)]) == 0
+    def test_shipped_mp_ks_within_tolerance(self, tmp_path, capsys, seed):
+        shipped = (ROOT / "configs" / "mp.cfg").read_text(encoding="utf-8")
+        assert shipped.count("\nseed = 0\n") == 1, shipped
+        path = write_config(tmp_path, shipped.replace("\nseed = 0\n", f"\nseed = {seed}\n"))
+        assert cli.main(["mp", "--config", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.startswith(f"mp: seed={seed} ")
         rows = (tmp_path / "mp_summary.csv").read_text().splitlines()[1:]
         ks = [float(row.split(",")[3]) for row in rows]
         assert len(ks) == 4 and max(ks) <= 0.03, ks
-
-    def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RMT_EQUIV_SEED", "abc")
-        path = write_config(tmp_path, "seed = 1\np = 16\n")
-        assert cli.main(["mp", "--config", path, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "error: RMT_EQUIV_SEED: " in err, err
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])  # a file, a path through one
     def test_unusable_out_exit_2(self, tmp_path, capsys, out):
@@ -593,8 +597,7 @@ class TestRunExperiments:
                          r"iterations", err), err
         assert "Traceback" not in err
 
-    def test_validation_failure_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("RMT_EQUIV_SEED", raising=False)
+    def test_validation_failure_exit_2(self, tmp_path):
         path = write_config(tmp_path, "p = 128\n")  # no seed
         rc = cli.run(cli.parse_config(path, "mp"), out_dir=str(tmp_path))
         assert rc == 2

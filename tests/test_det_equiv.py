@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from rmt_equiv import det_equiv
+from rmt_equiv import det_equiv, ridge
 from rmt_equiv.errors import DomainError, SingularityError
 from rmt_equiv.randgen import gaussian_matrix, rademacher_matrix
 
@@ -26,7 +26,9 @@ class TestMPEdges:
         for call in (lambda: det_equiv.mp_edges(c),
                      lambda: det_equiv.mp_stieltjes(c, -1.0),
                      lambda: det_equiv.mp_density(c, 1.0),
-                     lambda: det_equiv.mp_cdf(c)):
+                     lambda: det_equiv.mp_cdf(c),
+                     lambda: ridge.risk_theory(0.0, c, 1.0, 0.1),  # ridgeless_limits
+                     lambda: ridge.risk_theory(0.1, c, 1.0, 0.1)):
             with pytest.raises(ValueError, match="ratio c must be positive"):
                 call()
 
