@@ -6,9 +6,9 @@ Usage:
 Experiments: mp, tanh-demo, ridge-sweep, rf-sweep, kernel-lin, ck-depth,
 dynamics. Configs are flat ``key = value`` text files ('#' starts a comment;
 lists are comma-separated; a key may be set once). They hold every setting of a
-run; an rf-sweep ``dataset`` takes ``p`` from the file and draws no noise
-(``sigma2`` must be 0). The seed is mandatory. All numeric CSV values are
-written with 9 significant digits; identical configs produce byte-identical CSVs.
+run; an rf-sweep ``dataset`` takes ``p`` from the file. The seed is mandatory.
+All numeric CSV values are written with 9 significant digits; identical configs
+produce byte-identical CSVs.
 
 Exit status: 0 success; 2 bad config or dataset (a non-finite number is a bad
 config), or an ``--out`` that cannot be created or written; 3 numerical failure
@@ -28,8 +28,8 @@ from . import hermite_kernels as hk
 from . import rf_nn
 from .det_equiv import mp_cdf, mp_density, mp_edges
 from .errors import DatasetError, SingularityError
-from .randgen import NORMALIZATIONS, DataMatrix, GroundTruth, ingest_dataset, \
-    laguerre_bidiagonal, linear_targets, sample_count, sphere_dataset, stream
+from .randgen import DataMatrix, ingest_dataset, laguerre_bidiagonal, sample_count, \
+    sphere_dataset, stream
 from .results import ResultRow, write_csv, write_rows
 from .ridge import RiskPair, SweepSpec, at_peak, risk_theory, sweep_double_descent
 from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, symmetric_norm
@@ -84,16 +84,13 @@ def _bound(params, keys, ok, rule):
     return [f"{k} {rule}" for k, v in vals.items() if not all(map(ok, v))]
 
 
-def _member(choices):
-    return lambda v: v in choices, f"must be one of {', '.join(choices)}"
-
-
 _POSITIVE = (lambda v: v > 0, "must be > 0")
 _NONNEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _COUNT = (lambda v: v >= 1, "must be >= 1")
 _SPHERE_DIM = (lambda v: v >= 2, "must be >= 2 (a sphere dimension)")
 _INT64 = 2.0**63  # sample counts are int64; an int compares exactly with it
-_ACTIVATION = _member(rf_nn.ACTIVATIONS)
+_ACTIVATION = (lambda v: v in rf_nn.ACTIVATIONS,
+               f"must be one of {', '.join(rf_nn.ACTIVATIONS)}")
 
 
 def _simulable(size, count, to_ratio=lambda r: r):
@@ -155,19 +152,19 @@ def _check_ridge_sweep(params):
 
 
 def _check_rf_sweep(params):
-    source = (_bound(params, "sigma2", lambda v: v == 0,
-                     "applies only without a dataset") if params["dataset"]
-              else _bound(params, "p", *_SPHERE_DIM)
-              + _bound(params, "header", lambda v: v == 0, "applies only with a dataset"))
+    # _rf_data reads labels as a set
+    default_labels = set(EXPERIMENTS["rf-sweep"].defaults["labels"])
+    source = ([] if params["dataset"] else _bound(params, "p", *_SPHERE_DIM)
+              + _bound(params, "header", lambda v: v == 0, "applies only with a dataset")
+              + ([] if set(params["labels"]) == default_labels
+                 else ["labels applies only with a dataset"]))
     labels = ([] if len(set(params["labels"])) <= 2
               else ["labels must hold at most two distinct values"])
     return (_bound(params, "n p n_test trials", *_COUNT)
             + _bound(params, "d_over_n gamma", *_POSITIVE)
             + _bound(params, "d_over_n", *_simulable(params["n"], "d = d_over_n * n"))
             + _bound(params, "header", lambda v: v in (0, 1), "must be 0 or 1")
-            + _bound(params, "sigma2", *_NONNEGATIVE) + source + labels
-            + _bound(params, "activation", *_ACTIVATION)
-            + _bound(params, "normalization", *_member(NORMALIZATIONS))), []
+            + source + labels + _bound(params, "activation", *_ACTIVATION)), []
 
 
 def _check_mp(params):
@@ -279,18 +276,17 @@ def _run_ridge_sweep(params, out):
     return max(devs) if devs else float("nan")
 
 
-# stream roles of rf-sweep (``randgen.stream(seed, role, 0, trial)``): the data,
-# truth and noise are drawn at trial 0, the weights of trial t at trial t
-RF_TRAIN, RF_TEST, RF_TRUTH, RF_NOISE, RF_WEIGHTS = range(5)
+# stream roles of rf-sweep (``randgen.stream(seed, role, 0, trial)``): the data
+# and truth are drawn at trial 0, the weights of trial t at trial t. Role 3 drew
+# target noise and stays unused, so that the weights keep their stream
+RF_TRAIN, RF_TEST, RF_TRUTH, RF_WEIGHTS = 0, 1, 2, 4
 
 
 def _rf_data(params):
     n, p, n_test = params["n"], params["p"], params["n_test"]
     if params["dataset"]:
         try:
-            X_all, y_all = ingest_dataset(params["dataset"],
-                                          set(params["labels"]),
-                                          params["normalization"],
+            X_all, y_all = ingest_dataset(params["dataset"], set(params["labels"]),
                                           header=params["header"] == 1)
         except (DatasetError, OSError, ValueError) as exc:  # unreadable or unusable
             raise DatasetError(f"dataset {params['dataset']}: {exc}") from None
@@ -305,10 +301,8 @@ def _rf_data(params):
     Xtr = sphere_dataset(p, n, stream(seed, RF_TRAIN, 0, 0))
     Xte = sphere_dataset(p, n_test, stream(seed, RF_TEST, 0, 0))
     bstar = stream(seed, RF_TRUTH, 0, 0).standard_normal(p)
-    truth = GroundTruth(bstar / np.linalg.norm(bstar), params["sigma2"])
-    noise = stream(seed, RF_NOISE, 0, 0)  # the test noise follows the train noise
-    return (Xtr, linear_targets(Xtr, truth, noise),
-            Xte, linear_targets(Xte, truth, noise))
+    bstar /= np.linalg.norm(bstar)
+    return Xtr, Xtr.entries.T @ bstar, Xte, Xte.entries.T @ bstar
 
 
 def _run_rf_sweep(params, out):
@@ -461,9 +455,8 @@ EXPERIMENTS = {
         _check_ridge_sweep, _run_ridge_sweep),
     "rf-sweep": Experiment(
         {"d_over_n": [0.25, 0.5, 1.0, 2.0], "n": 512, "p": 256, "n_test": 512,
-         "gamma": 0.1, "trials": 30, "activation": "relu", "sigma2": 0.0,
-         "dataset": "", "header": 0, "labels": [1.0, 2.0],
-         "normalization": "unit-sphere"},
+         "gamma": 0.1, "trials": 30, "activation": "relu",
+         "dataset": "", "header": 0, "labels": [1.0, 2.0]},
         _check_rf_sweep, _run_rf_sweep),
     "kernel-lin": Experiment(
         {"sizes": [128, 256, 512, 1024], "activation": "relu"},

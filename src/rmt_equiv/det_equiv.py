@@ -21,6 +21,8 @@ from . import _kernels
 from .errors import ConvergenceError, DomainError, SingularityError
 
 MAX_FP_ITERATIONS = 10_000
+#: stopping tolerance of the delta iteration (absolute step)
+FP_TOL = 1e-14
 
 
 def mp_edges(c):
@@ -113,7 +115,7 @@ def mp_cdf(c):
     return cdf
 
 
-def solve_delta_scm(C_eigenvalues, n, z, tol=1e-12) -> DEFixedPoint:
+def solve_delta_scm(C_eigenvalues, n, z) -> DEFixedPoint:
     """Fixed point delta(z) = (1/n) sum_i c_i / (c_i/(1+delta) - z).
 
     Starts from the correct large-|z| asymptote delta0 = p/(n |z|); a 0.5
@@ -128,7 +130,7 @@ def solve_delta_scm(C_eigenvalues, n, z, tol=1e-12) -> DEFixedPoint:
     p = c_eigs.shape[0]
     delta0 = p / (n * abs(z))
     delta, resid, iters, ok = _kernels.delta_scm_iterate(
-        c_eigs, float(n), z, tol, MAX_FP_ITERATIONS, delta0
+        c_eigs, float(n), z, FP_TOL, MAX_FP_ITERATIONS, delta0
     )
     if not ok:
         raise ConvergenceError(f"delta fixed point did not converge at z={z}: "

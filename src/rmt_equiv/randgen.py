@@ -98,7 +98,7 @@ def rademacher_matrix(rows, cols, seed) -> DataMatrix:
 def sphere_dataset(p, n, seed) -> DataMatrix:
     """n columns drawn i.i.d. uniformly from the unit sphere in R^p.
 
-    Sampling is a standard Gaussian draw followed by column normalization,
+    Sampling is a standard Gaussian draw with each column scaled to unit norm,
     which is exact for the uniform spherical law.
     """
     if p < 2:
@@ -128,18 +128,14 @@ def linear_targets(X: DataMatrix, truth: GroundTruth, seed) -> np.ndarray:
     return y
 
 
-#: normalization tags that ``ingest_dataset`` accepts
-NORMALIZATIONS = ("none", "unit-sphere", "global-spectral")
-
-
-def ingest_dataset(path, label_filter, normalization="none", header=False):
-    """Read a label-first CSV (``label,f1,...,fp`` per line) into a DataMatrix.
+def ingest_dataset(path, label_filter, *, header=False):
+    """Read a label-first CSV (``label,f1,...,fp`` per line) into a DataMatrix
+    whose columns, the retained samples, are scaled to unit norm.
 
     Keeps only rows whose label is in ``label_filter`` and maps the (at most
     two) retained labels to -1/+1 regression targets, smaller label first.
-    Every retained sample must be finite with a nonzero norm, under every
-    normalization, because the kernels divide by sample norms.
-    Returns (DataMatrix, targets).
+    Every retained sample must be finite with a nonzero norm, so that it can
+    be scaled. Returns (DataMatrix, targets).
     """
     labels_keep = sorted(set(label_filter))
     if len(labels_keep) > 2:
@@ -179,12 +175,7 @@ def ingest_dataset(path, label_filter, normalization="none", header=False):
     norms = np.linalg.norm(entries, axis=0)
     if not norms.all():
         raise DatasetError(f"filtered sample {np.argmin(norms)} (0-based) has norm 0")
-    if normalization == "unit-sphere":
-        entries /= norms
-    elif normalization == "global-spectral":
-        entries /= np.linalg.norm(entries, 2)
-    elif normalization != "none":
-        raise ValueError(f"unknown normalization tag {normalization!r}")
+    entries /= norms
     if len(labels_keep) == 2:
         lo = labels_keep[0]
         y = np.array([-1.0 if lab == lo else 1.0 for lab in labels])

@@ -85,7 +85,7 @@ def test_criterion_02_universality(scm_eigs):
 
 
 def test_criterion_03_golden_fixed_point():
-    fp = det_equiv.solve_delta_scm(np.ones(512), 512, -1.0, tol=1e-14)
+    fp = det_equiv.solve_delta_scm(np.ones(512), 512, -1.0)
     dev = abs(fp.delta - GOLDEN)
     ok = dev <= 1e-10 and fp.residual <= 1e-12
     report(3, "golden-ratio fixed point", ok,
@@ -248,7 +248,7 @@ MNIST_PATH = os.environ.get("RMT_EQUIV_MNIST", "data/mnist_12.csv")
 def test_criterion_10_optional_mnist_reproduction():
     # reproduces the reference protocol: digits {1,2}, n = n' = 1024, ReLU,
     # gamma = 0.1, d/n = 2; reference test-MSE theory value 0.061402
-    X_all, y_all = ingest_dataset(MNIST_PATH, {1.0, 2.0}, "unit-sphere")
+    X_all, y_all = ingest_dataset(MNIST_PATH, {1.0, 2.0})
     n = n_test = 1024
     from rmt_equiv.randgen import DataMatrix
     Xtr = DataMatrix(X_all.entries[:, :n])

@@ -76,6 +76,21 @@ def test_library_reads_no_environment():
     assert not hits, hits
 
 
+def test_library_uses_every_name_it_imports():
+    """An import whose name its module never reads is dead code that a deletion
+    left behind."""
+    unused = []
+    for path in sorted((ROOT / "src" / "rmt_equiv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for name in (a.asname or a.name.split(".")[0] for a in node.names)
+                   if name not in read]
+    assert not unused, unused
+
+
 class TestParseValidate:
     def test_parse_types(self, tmp_path):
         path = write_config(tmp_path, """
@@ -185,9 +200,9 @@ VALUES = st.one_of(
 # experiments whose generators are all keyed by the run's seed
 KEYED_STREAMS = ["mp", "tanh-demo", "ridge-sweep", "rf-sweep", "kernel-lin",
                  "ck-depth", "dynamics"]
-# rf-sweep at toy size with noise, three widths out of order and three trials
+# rf-sweep at toy size, three widths out of order and three trials
 RF_TOY = {**cli.EXPERIMENTS["rf-sweep"].defaults, "seed": 3, "n": 24, "p": 8,
-          "n_test": 16, "sigma2": 0.05, "trials": 3, "d_over_n": [0.5, 2.0, 1.25]}
+          "n_test": 16, "trials": 3, "d_over_n": [0.5, 2.0, 1.25]}
 
 
 class TestRunExperiments:
@@ -276,7 +291,7 @@ class TestRunExperiments:
         pytest.param("rf-sweep", "n = 16\nn_test = 16\np = 6\ndataset = {data}",
                      "dataset", id="rf-sweep-short-dataset"),
         pytest.param("rf-sweep",
-                     "n = 16\nn_test = 16\np = 6\nnormalization = none\ndataset = {zeros}",
+                     "n = 16\nn_test = 16\np = 6\ndataset = {zeros}",
                      "dataset", id="rf-sweep-zero-sample"),
         pytest.param("rf-sweep", "dataset = {bad_row}", "dataset",
                      id="rf-sweep-unparsable-row"),
@@ -289,6 +304,8 @@ class TestRunExperiments:
         ("rf-sweep", "n_test = 0", "n_test"),
         # a removed key: old configs name it and exit 2
         ("kernel-lin", "activation = tanh\nmc_samples = 0", "mc_samples"),
+        ("rf-sweep", "sigma2 = 0", "sigma2"),
+        ("rf-sweep", "normalization = unit-sphere", "normalization"),
         # a count key that the experiment does not define is an unknown key
         ("tanh-demo", "p = 64", "p"),
         ("mp", "trials = 5", "trials"),
@@ -309,8 +326,8 @@ class TestRunExperiments:
         # config errors that used to surface as numerical failures or pass
         ("rf-sweep", "activation = softplus", "activation"),
         ("kernel-lin", "activation = softplus", "activation"),
-        ("rf-sweep", "normalization = max", "normalization"),
         ("rf-sweep", "labels = 1, 2, 3", "labels"),
+        ("rf-sweep", "labels = 3, 7", "labels"),
         ("ridge-sweep", "sigma2 = -1", "sigma2"),
         ("ridge-sweep", "beta_norm2 = -1", "beta_norm2"),
         ("ridge-sweep", "theory_grid = -1", "theory_grid"),
@@ -319,7 +336,6 @@ class TestRunExperiments:
         ("dynamics", "nodes = 8", "nodes"),
         ("dynamics", "d = 30\nn = 20", "d"),
         ("ck-depth", "layers = 1", "layers"),
-        ("rf-sweep", "sigma2 = -1", "sigma2"),
         # sample counts that no int64 holds
         ("ridge-sweep", "ratios = 1e300", "ratios"),
         ("mp", "c_list = 1e-300", "c_list"),
@@ -352,6 +368,23 @@ class TestRunExperiments:
         err = capsys.readouterr().err
         assert re.search(rf"\b{key}\b", err), err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, want", [
+        ("sigma2 = 0", "unknown key 'sigma2' for experiment rf-sweep"),
+        ("normalization = unit-sphere",
+         "unknown key 'normalization' for experiment rf-sweep"),
+        ("labels = 3, 7", "labels applies only with a dataset"),
+    ], ids=["sigma2", "normalization", "labels"])
+    def test_rf_key_that_would_be_ignored_exit_2(self, tmp_path, capsys, text, want):
+        """``sigma2`` and ``normalization`` are gone, and ``labels`` filters a
+        dataset only: an old config that sets one would otherwise run as if it
+        did not."""
+        path = write_config(tmp_path, config_text({"seed": 1, **TOY["rf-sweep"]})
+                            + text + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", list(TOY))
     def test_header_without_dataset_exit_2(self, tmp_path, capsys, experiment):
@@ -410,13 +443,11 @@ class TestRunExperiments:
         assert re.search(rf"\b{key} must be < 2\*\*63", err), err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("normalization", randgen.NORMALIZATIONS)
     @pytest.mark.parametrize("zero_row", [3, 35])
-    def test_zero_sample_exit_2(self, tmp_path, capsys, normalization, zero_row):
+    def test_zero_sample_exit_2(self, tmp_path, capsys, zero_row):
         # sample 35 lies past the n + n_test = 32 samples that the run uses
         data = write_dataset(tmp_path, 40, zero_row=zero_row)
         path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\np = 6\n"
-                                      f"normalization = {normalization}\n"
                                       f"dataset = {data}\n")
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -628,16 +659,14 @@ class TestRunExperiments:
                 (tmp_path / "rf_sweep.csv").read_text().splitlines()[1:]]
         got = {(row[0], row[2]): float(row[3]) for row in rows}
         assert len(got) == 6
-        # the data, truth, noise and weights, each drawn again from its stream
+        # the data, truth and weights, each drawn again from its stream
         seed, n, p, n_test, gamma = 3, 24, 8, 16, RF_TOY["gamma"]
         act = rf_nn.get_activation("relu")
         Xtr = randgen.sphere_dataset(p, n, randgen.stream(seed, cli.RF_TRAIN, 0, 0))
         Xte = randgen.sphere_dataset(p, n_test, randgen.stream(seed, cli.RF_TEST, 0, 0))
         b = randgen.stream(seed, cli.RF_TRUTH, 0, 0).standard_normal(p)
         b /= np.linalg.norm(b)
-        noise = randgen.stream(seed, cli.RF_NOISE, 0, 0)
-        ytr = Xtr.entries.T @ b + noise.normal(0, np.sqrt(0.05), n)
-        yte = Xte.entries.T @ b + noise.normal(0, np.sqrt(0.05), n_test)
+        ytr, yte = Xtr.entries.T @ b, Xte.entries.T @ b
         for dn in RF_TOY["d_over_n"]:
             d = round(dn * n)
             train, test = [], []
@@ -669,13 +698,12 @@ class TestRunExperiments:
         rows = (tmp_path / "rf_sweep.csv").read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.3125] * 2 + [0.5] * 2
 
-    def test_rf_data_targets_draw_consecutive_noise(self):
+    def test_rf_data_targets_are_truth_projections(self):
         Xtr, ytr, Xte, yte = cli._rf_data(RF_TOY)
         b = randgen.stream(3, cli.RF_TRUTH, 0, 0).standard_normal(8)
         b /= np.linalg.norm(b)
-        noise = randgen.stream(3, cli.RF_NOISE, 0, 0).normal(0, np.sqrt(0.05), 24 + 16)
-        np.testing.assert_array_equal(ytr, Xtr.entries.T @ b + noise[:24])
-        np.testing.assert_array_equal(yte, Xte.entries.T @ b + noise[24:])
+        np.testing.assert_array_equal(ytr, Xtr.entries.T @ b)
+        np.testing.assert_array_equal(yte, Xte.entries.T @ b)
 
     def test_rf_sweep_fits_each_simulated_width_once(self, tmp_path, monkeypatch):
         # 0.33 and 0.34 both give width 5 at n = 16: one row pair, one fit per trial
@@ -728,22 +756,6 @@ class TestRunExperiments:
             f"seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
             f"trials = 2\ngamma = 0.5\ndataset = {data}\n")
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 0
-
-    def test_rf_sweep_dataset_rejects_sigma2(self, tmp_path, capsys):
-        """A dataset run draws no noise, so a nonzero ``sigma2`` beside a
-        ``dataset`` would be silently ignored."""
-        data = write_dataset(tmp_path, 30)
-        text = ("seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
-                f"trials = 2\ngamma = 0.5\ndataset = {data}\n")
-        out = tmp_path / "out"
-        path = write_config(tmp_path, text + "sigma2 = 0.5\n")
-        assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "error: sigma2 applies only without a dataset\n" in err, err
-        assert not out.exists()
-        path = write_config(tmp_path, text)
-        assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 0
-        assert (out / "rf_sweep.csv").exists()
 
     def test_rf_sweep_dataset_flag_and_header(self, tmp_path):
         """``header = 1`` skips the dataset's first line: the run writes what a

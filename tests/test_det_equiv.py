@@ -154,13 +154,13 @@ class TestMPDensity:
 class TestSolveDeltaSCM:
     def test_identity_matches_mp(self):
         for p, n in ((64, 128), (100, 50), (80, 80)):
-            fp = det_equiv.solve_delta_scm(np.ones(p), n, -1.0, tol=1e-14)
+            fp = det_equiv.solve_delta_scm(np.ones(p), n, -1.0)
             c = p / n
             want = c * det_equiv.mp_stieltjes(c, -1.0)
             assert abs(fp.delta - want) <= 1e-10
 
     def test_golden_ratio(self):
-        fp = det_equiv.solve_delta_scm(np.ones(128), 128, -1.0, tol=1e-14)
+        fp = det_equiv.solve_delta_scm(np.ones(128), 128, -1.0)
         assert abs(fp.delta - GOLDEN) <= 1e-10
         assert fp.residual <= 1e-12
 
@@ -174,7 +174,7 @@ class TestSolveDeltaSCM:
         eigs = rng.uniform(0.5, 2.0, 60)
         # off the real axis on both sides of the spectrum, and on the negative axis
         for z in (-0.3 + 0.2j, -1.0, -0.3 + 0.4j, 2.0 + 1.0j):
-            fp = det_equiv.solve_delta_scm(eigs, 90, z, tol=1e-13)
+            fp = det_equiv.solve_delta_scm(eigs, 90, z)
             target = np.mean(eigs / (eigs / (1 + fp.delta) - fp.z)) * 60 / 90
             assert abs(target - fp.delta) <= 1e-12, z
 

@@ -153,12 +153,12 @@ class TestIngestDataset:
 
     def test_label_filtering(self, tmp_path):
         path = self._write(tmp_path, "1,0.5,0.5\n2,1,0\n3,0,1\n")
-        X, y = randgen.ingest_dataset(path, {1}, "none")
+        X, y = randgen.ingest_dataset(path, {1})
         assert X.n == 1 and np.array_equal(y, [1.0])
 
     def test_two_class_pm1(self, tmp_path):
         path = self._write(tmp_path, "2,1,0\n1,0,1\n2,1,1\n")
-        X, y = randgen.ingest_dataset(path, {1, 2}, "none")
+        X, y = randgen.ingest_dataset(path, {1, 2})
         assert np.array_equal(y, [1.0, -1.0, 1.0])
 
     def _random_rows(self, tmp_path):
@@ -171,23 +171,16 @@ class TestIngestDataset:
 
     def test_unit_sphere_normalization(self, tmp_path):
         for path in (self._write(tmp_path, "1,3,4\n1,1,1\n"), self._random_rows(tmp_path)):
-            X, _ = randgen.ingest_dataset(path, {1}, "unit-sphere")
+            X, _ = randgen.ingest_dataset(path, {1})
             assert np.abs(np.linalg.norm(X.entries, axis=0) - 1.0).max() < 1e-12
 
-    def test_global_spectral_normalization(self, tmp_path):
-        for path in (self._write(tmp_path, "1,3,4\n1,1,1\n1,0,2\n"),
-                     self._random_rows(tmp_path)):
-            X, _ = randgen.ingest_dataset(path, {1}, "global-spectral")
-            assert np.linalg.norm(X.entries, 2) <= 1 + 1e-10
-
-    @pytest.mark.parametrize("normalization", randgen.NORMALIZATIONS)
-    def test_zero_sample_rejected(self, tmp_path, normalization):
+    def test_zero_sample_rejected(self, tmp_path):
         # the label-3 row is filtered out, so the zero sample is filtered sample 1
         path = self._write(tmp_path, "1,0.5,0.5\n3,1,1\n1,0,0\n1,1,2\n")
         with pytest.raises(DatasetError,
                            match=r"^filtered sample 1 \(0-based\) has norm 0$"):
-            randgen.ingest_dataset(path, {1}, normalization)
-        X, _ = randgen.ingest_dataset(path, {3}, normalization)  # a zero row left out
+            randgen.ingest_dataset(path, {1})
+        X, _ = randgen.ingest_dataset(path, {3})  # a zero row left out
         assert X.n == 1
 
     def test_missing_file(self, tmp_path):
@@ -205,11 +198,10 @@ class TestIngestDataset:
             randgen.ingest_dataset(path, {9})
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("normalization", ["none", "unit-sphere", "global-spectral"])
-    def test_non_finite_feature_rejected(self, tmp_path, value, normalization):
+    def test_non_finite_feature_rejected(self, tmp_path, value):
         path = self._write(tmp_path, f"1,0.5,0.5\n1,{value},3\n")
         with pytest.raises(DatasetError, match="^row 2: non-finite feature$"):
-            randgen.ingest_dataset(path, {1}, normalization)
+            randgen.ingest_dataset(path, {1})
 
     def test_header_skip(self, tmp_path):
         path = self._write(tmp_path, "label,f1,f2\n1,0.5,0.5\n")
