@@ -6,7 +6,8 @@ Usage:
 Experiments: mp, tanh-demo, ridge-sweep, rf-sweep, kernel-lin, ck-depth,
 dynamics. Configs are flat ``key = value`` text files ('#' starts a comment;
 lists are comma-separated; a key may be set once). They hold every setting of a
-run; an rf-sweep ``dataset`` takes ``p`` from the file. The seed is mandatory.
+run; an rf-sweep ``dataset`` takes ``p`` from the file, and a config that sets
+``p`` beside it exits 2. The seed is mandatory.
 All numeric CSV values are written with 9 significant digits; identical configs
 produce byte-identical CSVs.
 
@@ -32,7 +33,8 @@ from .randgen import DataMatrix, ingest_dataset, laguerre_bidiagonal, sample_cou
     sphere_dataset, stream
 from .results import ResultRow, write_csv, write_rows
 from .ridge import RiskPair, SweepSpec, at_peak, risk_theory, sweep_double_descent
-from .spectral import MIN_CONTOUR_NODES, esd_histogram, ks_distance, symmetric_norm
+from .spectral import MIN_CONTOUR_NODES, block_inverses, esd_histogram, ks_distance, \
+    substitute, symmetric_norm
 
 
 @dataclass
@@ -134,6 +136,9 @@ def validate(config: ExperimentConfig):
         if not all(v < _INT64 for v in vals if isinstance(v, int)):  # counts, sizes
             errors.append(f"{key} must be < 2**63")
     check_errors, warnings_ = entry.check(filled)
+    # a dataset run takes p from the file; only the keys read show that p was set
+    if config.experiment == "rf-sweep" and filled["dataset"] and "p" in config.params:
+        check_errors.append("p applies only without a dataset")
     return ExperimentConfig(config.experiment, filled), errors + check_errors, warnings_
 
 
@@ -368,11 +373,63 @@ def _run_kernel_lin(params, out):
     return max(r.empirical_mean for r in rows)
 
 
-def _second_layer(P1, rng):
-    """W2 P1 for W2 ~ N(0, I / width), width = rows of P1, drawn from its law: each
-    row is N(0, P1^T P1 / width) = N(0, R^T R), R the QR factor of P1 / sqrt(width)."""
-    R = np.linalg.qr(P1, mode="r") / np.sqrt(len(P1))
-    return rng.standard_normal((len(P1), len(R))) @ R
+def _householder_signs(Q1, square):
+    """LAPACK's row signs s, R_qr = diag(s) R_chol, from the leading n x n block
+    Q1 = P[:n] R_chol^-1 of a Cholesky QR (see ``_qr_r``).
+
+    Householder QR gives Q[:n] - I = -Y1 T Y1^T: an LU factorization with
+    unit lower Y1 and pivots -tau_j, where tau_j = 1 + |alpha_j| / ||x_j|| for
+    the column x_j that reflector j maps to R_jj = -sign(alpha_j) ||x_j||. A
+    Cholesky QR has Q1 = Q[:n] diag(s) for R = diag(s) R_chol, so Q1 - diag(s)
+    has the pivots -tau_j s_j, and the entry from which s_j is subtracted is
+    s_j (1 - tau_j): s_j = -sign of that entry (Ballard et al., IPDPS 2014).
+    LAPACK leaves the last column of a square matrix unreflected (tau_n = 0),
+    so there s_n = +sign. The LU is blocked and unpivoted; each pivot has
+    magnitude tau_j >= 1.
+    """
+    A = Q1.copy()
+    n = len(A)
+    s = np.empty(n)
+    block = 16
+    for j0 in range(0, n, block):
+        j1 = min(j0 + block, n)
+        for j in range(j0, j1):
+            sign = 1.0 if A[j, j] >= 0 else -1.0
+            s[j] = sign if square and j == n - 1 else -sign
+            A[j, j] -= s[j]
+            col = A[j + 1:, j] / A[j, j]
+            A[j + 1:, j] = col
+            A[j + 1:, j + 1:j1] -= np.outer(col, A[j, j + 1:j1])
+            A[j + 1:j1, j1:] -= np.outer(col[:j1 - j - 1], A[j, j1:])
+        A[j1:, j1:] -= A[j1:, j0:j1] @ A[j0:j1, j1:]
+    return s
+
+
+def _qr_r(P):
+    """``np.linalg.qr(P, mode="r")`` of a k x n P, row signs and all.
+
+    For k >= n, R is the Cholesky factor of the n x n Gram P^T P: one matrix
+    product of half the flops of a Householder QR, and no k x n copy. LAPACK's
+    row signs come from ``_householder_signs`` of Q1 = P[:n] R^-1. The two R
+    agree to about cond(P)^2 eps relative, and both have R^T R = P^T P to
+    rounding. For k < n, or a Gram that is numerically singular, the QR runs.
+    """
+    k, n = P.shape
+    if k >= n:
+        try:
+            L = np.linalg.cholesky(P.T @ P)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            Q1t = substitute(L, block_inverses(L), P[:n].T)
+            return _householder_signs(Q1t.T, k == n)[:, None] * L.T
+    return np.linalg.qr(P, mode="r")
+
+
+def _second_layer(R, width, rng):
+    """W2 P1 for W2 ~ N(0, I / width), drawn from its law given R^T R =
+    P1^T P1 / width: each of its ``width`` rows is N(0, R^T R)."""
+    return rng.standard_normal((width, len(R))) @ R
 
 
 def _run_ck_depth(params, out):
@@ -383,11 +440,13 @@ def _run_ck_depth(params, out):
     # empirical two-layer CK at the requested width, drawn before the layer loop
     # so that no n x n matrix is held through the draws; each layer's draw (role
     # 0, then role 1) has its own stream. Each width x n layer is activated in
-    # place on its product, and P1 is freed as soon as P2 is formed
+    # place on its product, and P1 is freed before the second draw, so that at
+    # most two width x n arrays are held at a time
     P1 = stream(params["seed"], 0, 0, 0).standard_normal((width, p)) @ X.entries
     act.evaluate(P1, out=P1)
-    P2 = _second_layer(P1, stream(params["seed"], 1, 0, 0))
+    R = _qr_r(P1) / np.sqrt(width)
     del P1
+    P2 = _second_layer(R, width, stream(params["seed"], 1, 0, 0))
     act.evaluate(P2, out=P2)
     rows = []
     for layer in range(L + 1):

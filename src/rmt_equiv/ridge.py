@@ -25,7 +25,7 @@ from .errors import SingularityError
 from .randgen import DataMatrix, GroundTruth, gaussian_matrix, laguerre_bidiagonal, \
     linear_targets, sample_count, stream
 from .results import ResultRow
-from .spectral import rank_tolerance
+from .spectral import block_inverses, rank_tolerance, substitute
 
 #: |c - 1| below this flags a sweep point as sitting on the interpolation peak
 PEAK_RATIO_BAND = 0.02
@@ -42,11 +42,10 @@ class RiskPair:
     r_out: float
 
 
-def _certified_full_rank(G, size):
-    """True if Cholesky proves every eigenvalue of the symmetric Gram G (of
-    order m) lies above the cut-off lambda_max size eps of ``rank_tolerance``.
-
-    Cholesky is run on G - s I with
+def _certificate(G, size):
+    """The Cholesky factor L of G - s I, or None: if it exists, every eigenvalue
+    of the symmetric Gram G (of order m) lies above the cut-off lambda_max size
+    eps of ``rank_tolerance``. The shift is
 
         s = ||G||_inf size eps + m (m + 1) eps max(diag G).
 
@@ -63,10 +62,47 @@ def _certified_full_rank(G, size):
     shifted.flat[::m + 1] -= (np.linalg.norm(G, np.inf) * size * eps
                               + m * (m + 1) * eps * G.diagonal().max())
     try:
-        np.linalg.cholesky(shifted)
+        return np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        return None
+
+
+def _certified_full_rank(G, size):
+    """True if ``_certificate`` proves that G has no eigenvalue at or below the
+    cut-off."""
+    return _certificate(G, size) is not None
+
+
+def _refined_solve(G, L, rhs):
+    """x with G x = rhs, from the certificate's factor L L^T = G - s I by
+    iterative refinement (Higham, chapter 12), or None if the refinement does
+    not contract.
+
+    x_0 solves L L^T x_0 = rhs, and each correction d_k solves
+    L L^T d_k = rhs - G x_{k-1}. The error is multiplied at each step by
+    (L L^T)^{-1} (L L^T - G), which is -s (G - s I)^{-1} for an exact factor,
+    of norm the contraction bound s / (lambda_min - s): each correction is at
+    most that times the last.
+    The refinement stops at the first correction that does not halve the one
+    before it (x_0 counts as the first): from there on rounding, not the shift,
+    sets the corrections, and that correction is dropped. If already d_1 fails
+    to halve x_0, the bound may be 1/2 or more (lambda_min within about 2 s of
+    s), the corrections need not converge, and None is returned.
+    """
+    inverses = block_inverses(L)
+
+    def solve(r):
+        return substitute(L, inverses, substitute(L, inverses, r), upper=True)
+
+    x = solve(rhs)
+    last, refined = np.linalg.norm(x), False
+    while True:
+        d = solve(rhs - G @ x)
+        size = np.linalg.norm(d)
+        if not size < last / 2:
+            return x if refined else None
+        x += d
+        last, refined = size, True
 
 
 def solve_ridge(A, y, gamma):
@@ -74,11 +110,13 @@ def solve_ridge(A, y, gamma):
     at gamma = 0 the min-norm minimizer of ||A^T beta - y||, at any rank.
 
     Both use the smaller Gram matrix G (A A^T if p <= n, else A^T A). At
-    gamma = 0 the answer is G^+ A y if p <= n, else A G^+ y, where eigenvalues
-    at or below lambda_max max(p, n) eps count as zero (numpy's pinv cut-off on
-    the Gram spectrum). When ``_certified_full_rank`` proves that none is cut,
-    G^+ = G^{-1} is applied by one solve; otherwise the eigendecomposition of
-    G is truncated at the cut-off.
+    gamma > 0, G/n + gamma I is applied by one LU solve. At gamma = 0 the answer
+    is G^+ A y if p <= n, else A G^+ y, where eigenvalues at or below
+    lambda_max max(p, n) eps count as zero (numpy's pinv cut-off on the Gram
+    spectrum). When ``_certificate`` proves that none is cut, G^+ = G^{-1} is
+    applied by ``_refined_solve`` on the certificate's own Cholesky factor;
+    when it does not, or the refinement does not contract, the
+    eigendecomposition of G is truncated at the cut-off.
     """
     if not gamma >= 0:
         raise ValueError("gamma must be >= 0")
@@ -89,9 +127,12 @@ def solve_ridge(A, y, gamma):
         G /= n
         G.flat[::G.shape[0] + 1] += gamma
     rhs = A @ y / scale if p <= n else y
-    if gamma > 0 or _certified_full_rank(G, max(p, n)):
+    if gamma > 0:
         x = np.linalg.solve(G, rhs)
     else:
+        L = _certificate(G, max(p, n))
+        x = None if L is None else _refined_solve(G, L, rhs)
+    if x is None:
         lam, U = np.linalg.eigh(G)
         keep = lam > rank_tolerance(lam, max(p, n))
         U, lam = U[:, keep], lam[keep]

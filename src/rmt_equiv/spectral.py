@@ -64,6 +64,65 @@ def rank_tolerance(lam, size):
     return lam.max() * size * np.finfo(float).eps
 
 
+#: largest order of the diagonal blocks that ``block_inverses`` inverts (a power of 2)
+TRIANGULAR_BLOCK = 64
+
+
+def block_inverses(L):
+    """Inverses of the diagonal blocks of a lower-triangular L, stacked k x b x b,
+    for ``substitute``. b is the smallest power of two >= the order of L, at most
+    ``TRIANGULAR_BLOCK``; a short last block is padded with the identity.
+
+    All blocks are inverted at once by doubling: the inverse of [[A, 0], [C, B]]
+    is [[A^-1, 0], [-B^-1 C A^-1, B^-1]], taken for the 2h x 2h diagonal
+    sub-blocks at h = 1, 2, ..., b/2. (numpy has no triangular solve, and its
+    ``inv`` costs more per 64 x 64 block than this does for all of them.)
+    """
+    m = len(L)
+    b = min(TRIANGULAR_BLOCK, 1 << (m - 1).bit_length())
+    k = -(-m // b)
+    D = np.zeros((k, b, b))
+    D[-1] = np.eye(b)
+    for i in range(k):
+        block = L[i * b:(i + 1) * b, i * b:(i + 1) * b]
+        D[i, :len(block), :len(block)] = block
+    inv = np.zeros_like(D)
+    diag = np.arange(b)
+    inv[:, diag, diag] = 1.0 / D[:, diag, diag]
+    h = 1
+    while h < b:
+        q = np.arange(b // (2 * h))
+        Dv = D.reshape(k, len(q), 2 * h, len(q), 2 * h)
+        Iv = inv.reshape(Dv.shape)
+        Iv[:, q, h:, q, :h] = -(Iv[:, q, h:, q, h:] @ Dv[:, q, h:, q, :h]
+                                @ Iv[:, q, :h, q, :h])
+        h *= 2
+    return inv
+
+
+def substitute(L, inverses, B, upper=False):
+    """X with L X = B, or with L^T X = B if ``upper``, for a lower-triangular L
+    and its ``block_inverses``; B is a vector or a matrix of columns.
+
+    Blocked substitution: each block row of X is its block of B, less the
+    product with the block rows already solved, times the diagonal block's
+    inverse. A product with an explicit inverse is accurate to the block's
+    condition number but not backward stable, so a caller that needs a backward
+    stable solve refines the result.
+    """
+    b = inverses.shape[-1]
+    X = np.empty_like(B)
+    starts = range(0, len(L), b)
+    for i in reversed(starts) if upper else starts:
+        j = min(i + b, len(L))
+        inv = inverses[i // b, :j - i, :j - i]
+        if upper:
+            X[i:j] = inv.T @ (B[i:j] - L[j:, i:j].T @ X[j:])
+        else:
+            X[i:j] = inv @ (B[i:j] - L[i:j, :i] @ X[:i])
+    return X
+
+
 def esd_histogram(eigenvalues, bins, range_):
     """Normalized counting measure of eigenvalues on equal-width bins: the
     ascending bin edges and the masses, which sum to one.

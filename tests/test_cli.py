@@ -288,10 +288,10 @@ class TestRunExperiments:
         ("ridge-sweep", "gammas =", "gammas"),
         ("rf-sweep", "d_over_n = 0", "d_over_n"),
         ("rf-sweep", "p = 1", "p"),
-        pytest.param("rf-sweep", "n = 16\nn_test = 16\np = 6\ndataset = {data}",
+        pytest.param("rf-sweep", "n = 16\nn_test = 16\ndataset = {data}",
                      "dataset", id="rf-sweep-short-dataset"),
         pytest.param("rf-sweep",
-                     "n = 16\nn_test = 16\np = 6\ndataset = {zeros}",
+                     "n = 16\nn_test = 16\ndataset = {zeros}",
                      "dataset", id="rf-sweep-zero-sample"),
         pytest.param("rf-sweep", "dataset = {bad_row}", "dataset",
                      id="rf-sweep-unparsable-row"),
@@ -386,6 +386,18 @@ class TestRunExperiments:
         assert capsys.readouterr().err == f"error: {want}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", [6, 256])
+    def test_rf_p_beside_dataset_exit_2(self, tmp_path, capsys, p):
+        """A dataset run takes p from the file: a ``p`` set beside it, even at
+        the default 256, would be ignored."""
+        data = write_dataset(tmp_path, 30)
+        path = write_config(tmp_path, f"seed = 2\nn = 16\nn_test = 8\np = {p}\n"
+                                      f"dataset = {data}\n")
+        out = tmp_path / "out"
+        assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: p applies only without a dataset\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment", list(TOY))
     def test_header_without_dataset_exit_2(self, tmp_path, capsys, experiment):
         """``header`` is an rf-sweep key that applies only to a dataset; elsewhere
@@ -447,7 +459,7 @@ class TestRunExperiments:
     def test_zero_sample_exit_2(self, tmp_path, capsys, zero_row):
         # sample 35 lies past the n + n_test = 32 samples that the run uses
         data = write_dataset(tmp_path, 40, zero_row=zero_row)
-        path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\np = 6\n"
+        path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\n"
                                       f"dataset = {data}\n")
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -456,7 +468,7 @@ class TestRunExperiments:
 
     def test_non_finite_dataset_exit_2(self, tmp_path, capsys):
         data = write_config(tmp_path, "1,0.5,0.25\n2,nan,0.5\n" * 20, name="nan.csv")
-        path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\np = 2\n"
+        path = write_config(tmp_path, f"seed = 1\nn = 16\nn_test = 16\n"
                                       f"dataset = {data}\n")
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -510,7 +522,7 @@ class TestRunExperiments:
         data = write_dataset(tmp_path, 30)
         self.check_failed_allocation(tmp_path, capsys, monkeypatch, cli, "stream",
                                      "rf-sweep",
-                                     "seed = 2\nn = 16\np = 6\nn_test = 8\n"
+                                     "seed = 2\nn = 16\nn_test = 8\n"
                                      f"d_over_n = 0.5, 2\ngamma = 0.5\ndataset = {data}\n")
 
     @staticmethod
@@ -753,7 +765,7 @@ class TestRunExperiments:
         data = write_dataset(tmp_path, 30)
         path = write_config(
             tmp_path,
-            f"seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
+            f"seed = 2\nn = 16\nn_test = 8\nd_over_n = 0.5\n"
             f"trials = 2\ngamma = 0.5\ndataset = {data}\n")
         assert cli.main(["rf-sweep", "--config", path, "--out", str(tmp_path)]) == 0
 
@@ -766,7 +778,7 @@ class TestRunExperiments:
                                  header="label,f1,f2,f3,f4,f5,f6" if header else None)
             path = write_config(
                 tmp_path,
-                "seed = 2\nn = 16\np = 6\nn_test = 8\nd_over_n = 0.5\n"
+                "seed = 2\nn = 16\nn_test = 8\nd_over_n = 0.5\n"
                 f"trials = 2\ngamma = 0.5\ndataset = {data}\nheader = {header}\n")
             out = tmp_path / f"out{header}"
             assert cli.main(["rf-sweep", "--config", path, "--out", str(out)]) == 0
@@ -824,9 +836,11 @@ class TestRunExperiments:
         P1 = act.evaluate(randgen.stream(3, 0, 0, 0).standard_normal((width, n))
                           @ X.entries)
         K2t = hk.ck_linear_equivalent(X, hk.ck_alphas(act, 2), 2)
+        R = cli._qr_r(P1) / np.sqrt(width)
         sampled, direct = np.empty((draws, n, n)), np.empty((draws, n, n))
         for seed in range(draws):
-            P2 = act.evaluate(cli._second_layer(P1, randgen.stream(seed, 1, 0, 0)))
+            P2 = act.evaluate(cli._second_layer(R, width,
+                                                randgen.stream(seed, 1, 0, 0)))
             sampled[seed] = P2.T @ P2 / width
             W2 = randgen.stream(seed, 2, 0, 0).standard_normal((width, width))
             P2 = act.evaluate(W2 / np.sqrt(width) @ P1)
@@ -841,6 +855,50 @@ class TestRunExperiments:
             se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / draws)
             z = (a.mean(axis=0) - b.mean(axis=0)) / se
             assert np.abs(z).max() <= 4.0, z
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 40])
+    @pytest.mark.parametrize("tall", [0, 1, 5])
+    def test_qr_r_is_lapacks_r(self, n, tall):
+        # Cholesky's R is exact for P^T P + E with ||E|| <= c n eps ||P||^2, and
+        # a relative Gram error e moves R by at most about cond(P)^2 e relative;
+        # LAPACK's R is backward stable, so the two differ by n cond(P)^2 eps.
+        # The signs are LAPACK's exactly
+        act = hk.normalize_activation(rf_nn.get_activation("tanh"))
+        for seed in range(10):
+            width = n + tall * (n + seed)
+            X = randgen.sphere_dataset(n, n, seed)
+            P = act.evaluate(randgen.stream(seed, 0, 0, 0).standard_normal((width, n))
+                             @ X.entries)
+            want = np.linalg.qr(P, mode="r")
+            got = cli._qr_r(P)
+            assert np.array_equal(np.sign(np.diag(got)), np.sign(np.diag(want)))
+            bound = n * np.linalg.cond(P) ** 2 * np.finfo(float).eps
+            assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+    @pytest.mark.parametrize("p", [64, 16])
+    def test_ck_depth_holds_two_width_by_n_arrays(self, tmp_path, p):
+        # P1 with its weight draw, then the second draw with its product: never
+        # a third width x n array (a QR of P1 copied it twice)
+        params = {"seed": 5, "layers": 2, "n": 64, "p": p, "width": 4096}
+        cli._run_ck_depth(params, str(tmp_path))  # warm-up
+        tracemalloc.start()
+        try:
+            cli._run_ck_depth(params, str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        layer = 4096 * 64 * 8
+        assert peak <= 2.25 * layer, peak / layer
+
+    @pytest.mark.parametrize("width", [24, 100])
+    def test_ck_depth_runs_no_qr_when_width_reaches_n(self, tmp_path, monkeypatch,
+                                                       width):
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called with width >= n")
+
+        monkeypatch.setattr(cli.np.linalg, "qr", no_qr)
+        params = {"seed": 1, "layers": 2, "n": 24, "p": 24, "width": width}
+        assert np.isfinite(cli._run_ck_depth(params, str(tmp_path)))
 
     def test_ck_depth_width_below_n(self, tmp_path):
         path = write_config(tmp_path,

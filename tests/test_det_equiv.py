@@ -208,6 +208,44 @@ class TestDEResolvents:
         assert abs(emp - s.real) <= 0.03
 
 
+    def test_spiked_eigenvector_alignment(self):
+        """Beyond eigenvalues: for C = I + l e1 e1^T and S = C^1/2 X X^T C^1/2 / n,
+        the top eigenvector u1 of S has E|u1^T e1|^2 = -(1/2 pi i) oint g dz and
+        the top eigenvalue is oint z g dz / oint g dz, on a circle around the
+        outlier, for g(z) = e1^T Qbar(z) e1 the first diagonal entry of
+        ``de_resolvents``. At p = 256, n = 512, l = 2 they are 0.7004 and 3.750
+        (asymptotically (1 - c/l^2)/(1 + c/l) = 0.7 and (1 + l)(1 + c/l) = 3.75).
+
+        The circle has center 3.75 and radius 0.5: it clears the bulk edge
+        (1 + sqrt c)^2 = 2.91 by 0.34, so 64 trapezoid nodes are converged to
+        rounding; the nodes sit at half-offset angles, off the real axis, where
+        ``solve_delta_scm`` is defined. The 40 trials are independent, so each
+        Monte Carlo mean has standard error sd / sqrt(40) from its sample
+        standard deviation (about 0.006 and 0.025). The equivalent's own error
+        is O(1/n), about 0.002 for the alignment, under half a standard error.
+        So 4 standard errors bound the gap: a correct equivalent misses it with
+        probability about 3e-4 (Student t, 39 degrees of freedom).
+        """
+        p, n, ell, trials, nodes, radius = 256, 512, 2.0, 40, 64, 0.5
+        c_eigs = np.ones(p)
+        c_eigs[0] += ell
+        unit = np.exp(2j * np.pi * (np.arange(nodes) + 0.5) / nodes)
+        z = (1 + ell) * (1 + p / n / ell) + radius * unit
+        g = np.array([det_equiv.de_resolvents(c_eigs, n, zk)[0][0] for zk in z])
+        # -(1/2 pi i) oint f dz, dz = i radius unit dtheta, by the trapezoid rule
+        align_de = -(radius / nodes * np.sum(g * unit)).real
+        top_de = -(radius / nodes * np.sum(z * g * unit)).real / align_de
+        align, top = np.empty(trials), np.empty(trials)
+        for t in range(trials):
+            X = gaussian_matrix(p, n, 1000 + t).entries
+            X[0] *= np.sqrt(1 + ell)
+            lam, U = np.linalg.eigh(X @ X.T / n)
+            align[t], top[t] = U[0, -1] ** 2, lam[-1]
+        for vals, de in ((align, align_de), (top, top_de)):
+            se = vals.std(ddof=1) / np.sqrt(trials)
+            assert abs(vals.mean() - de) <= 4 * se, (vals.mean(), de, se)
+
+
 class TestDEAccuracy:
     """Trace- and bilinear-form contracts of the deterministic equivalent."""
 

@@ -187,6 +187,71 @@ class TestRidgeFit:
             G = (Q * lam) @ Q.T
             assert ridge._certified_full_rank(G, size) is certified
 
+    @pytest.mark.parametrize("p, n", [(32, 64), (32, 16), (512, 640)])
+    def test_certified_fit_makes_no_lu_solve(self, monkeypatch, p, n):
+        # the certificate's Cholesky factor solves the Gram; numpy's LU never runs
+        def no_solve(*args):
+            raise AssertionError("np.linalg.solve called on a certified Gram")
+
+        monkeypatch.setattr(ridge.np.linalg, "solve", no_solve)
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((p, n))
+        y = rng.standard_normal(n)
+        want = np.linalg.lstsq(A.T, y, rcond=None)[0]
+        got = ridge.ridge_fit(DataMatrix(A), y, 0.0)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", [62, 64, 66])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_near_peak_fit_matches_lstsq(self, monkeypatch, n, seed):
+        # at the peak the Gram's condition number kappa is largest, and the
+        # refinement contracts slowest; it still runs (no eigh), and lands
+        # within the 10 kappa eps of the eigh-truncation test
+        def no_eigh(*args):
+            raise AssertionError("eigh called on a certified Gram")
+
+        rng = np.random.default_rng(100 + seed)
+        A = rng.standard_normal((64, n))
+        y = rng.standard_normal(n)
+        lam = np.linalg.eigvalsh(A @ A.T if n >= 64 else A.T @ A)
+        kappa = lam.max() / lam.min()
+        want = np.linalg.lstsq(A.T, y, rcond=None)[0]
+        monkeypatch.setattr(ridge.np.linalg, "eigh", no_eigh)
+        got = ridge.solve_ridge(A, y, 0.0)
+        assert np.linalg.norm(got - want) <= 10 * kappa * EPS * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("factor, refined", [(10.0, True), (2.5, False)])
+    def test_refinement_falls_back_when_it_cannot_contract(self, monkeypatch, factor,
+                                                           refined):
+        # lambda_min = factor * s for the certificate's shift s: both Grams are
+        # certified, and the contraction bound s / (lambda_min - s) is 1/9 at
+        # 10 s, so the refinement runs, and 2/3 at 2.5 s, so eigh runs instead
+        p, n = 32, 64
+        rng = np.random.default_rng(9)
+        U = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, p)))[0]
+        lam = rng.uniform(0.5, 1.0, p)
+        lam[-1] = 0.0
+        G = (U * lam) @ U.T
+        lam[-1] = factor * (np.linalg.norm(G, np.inf) * n * EPS
+                            + p * (p + 1) * EPS * G.diagonal().max())
+        A = (U * np.sqrt(lam)) @ V.T
+        y = rng.standard_normal(n)
+        want = eigh_min_norm(A, y)
+        calls = []
+
+        def spy(G):
+            calls.append(G.shape)
+            return eigh(G)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(ridge.np.linalg, "eigh", spy)
+        got = ridge.solve_ridge(A, y, 0.0)
+        assert ridge._certified_full_rank(A @ A.T, n)
+        assert (calls == []) is refined
+        kappa = lam.max() / lam.min()
+        assert np.linalg.norm(got - want) <= 10 * kappa * EPS * np.linalg.norm(want)
+
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             ridge.ridge_fit(DataMatrix(np.ones((2, 2))), np.ones(2), -0.1)
