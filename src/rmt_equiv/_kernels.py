@@ -72,14 +72,18 @@ def theta_bisect(k_eigs, d_over_n, tol, max_iter):
 
 
 def relu_pair_kernel(gram, norms_a, norms_b):
-    """Entrywise degree-1 arc-cosine kernel.
+    """Entrywise degree-1 arc-cosine kernel, computed in ``gram``'s buffer.
 
     K[i,j] = (|a_i||b_j| / 2pi) * (sqrt(1-rho^2) + (pi - arccos(rho)) rho),
     with rho the cosine of the angle between columns, clamped to [-1, 1].
-    Computed in place in three result-sized buffers; ``gram`` is not modified.
+    Overwrites ``gram`` with K and returns it. The norms' outer product is
+    freed after the division and formed again for the final product, so at
+    most one more result-sized buffer is held at a time.
     """
-    scale = norms_a.reshape(-1, 1) * norms_b.reshape(1, -1)
-    rho = gram / scale
+    scale = np.outer(norms_a, norms_b)
+    rho = gram
+    rho /= scale
+    del scale
     np.clip(rho, -1.0, 1.0, out=rho)
     ang = np.arccos(rho)
     np.subtract(np.pi, ang, out=ang)
@@ -88,6 +92,8 @@ def relu_pair_kernel(gram, norms_a, norms_b):
     np.subtract(1.0, rho, out=rho)
     np.sqrt(rho, out=rho)  # sqrt(1 - rho^2)
     rho += ang
+    del ang
+    scale = np.outer(norms_a, norms_b)
     scale /= 2.0 * np.pi
-    scale *= rho
-    return scale
+    rho *= scale
+    return rho

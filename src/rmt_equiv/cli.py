@@ -29,8 +29,8 @@ from . import hermite_kernels as hk
 from . import rf_nn
 from .det_equiv import mp_cdf, mp_density, mp_edges
 from .errors import DatasetError, SingularityError
-from .randgen import DataMatrix, ingest_dataset, laguerre_bidiagonal, sample_count, \
-    sphere_dataset, stream
+from .randgen import DataMatrix, gaussian_product, ingest_dataset, \
+    laguerre_bidiagonal, sample_count, sphere_dataset, stream
 from .results import ResultRow, write_csv, write_rows
 from .ridge import RiskPair, SweepSpec, at_peak, risk_theory, sweep_double_descent
 from .spectral import MIN_CONTOUR_NODES, block_inverses, esd_histogram, ks_distance, \
@@ -428,8 +428,10 @@ def _qr_r(P):
 
 def _second_layer(R, width, rng):
     """W2 P1 for W2 ~ N(0, I / width), drawn from its law given R^T R =
-    P1^T P1 / width: each of its ``width`` rows is N(0, R^T R)."""
-    return rng.standard_normal((width, len(R))) @ R
+    P1^T P1 / width: each of its ``width`` rows is N(0, R^T R). The Gaussian
+    factor is drawn in row blocks (``randgen.gaussian_product``), so only the
+    width x n result is held whole."""
+    return gaussian_product(rng, width, R)
 
 
 def _run_ck_depth(params, out):
@@ -439,10 +441,11 @@ def _run_ck_depth(params, out):
     X = sphere_dataset(p, n, params["seed"])
     # empirical two-layer CK at the requested width, drawn before the layer loop
     # so that no n x n matrix is held through the draws; each layer's draw (role
-    # 0, then role 1) has its own stream. Each width x n layer is activated in
-    # place on its product, and P1 is freed before the second draw, so that at
-    # most two width x n arrays are held at a time
-    P1 = stream(params["seed"], 0, 0, 0).standard_normal((width, p)) @ X.entries
+    # 0, then role 1) has its own stream. Each Gaussian factor is drawn in row
+    # blocks, each width x n layer is activated in place on its product, and P1
+    # is freed before the second draw, so that one width x n array is held at
+    # a time
+    P1 = gaussian_product(stream(params["seed"], 0, 0, 0), width, X.entries)
     act.evaluate(P1, out=P1)
     R = _qr_r(P1) / np.sqrt(width)
     del P1

@@ -78,6 +78,28 @@ def stream(seed, role, point, trial):
         np.random.SeedSequence(seed, spawn_key=(role, point, trial)))
 
 
+#: the most rows of a Gaussian factor that ``gaussian_product`` holds at once
+PRODUCT_BLOCK_ROWS = 512
+
+
+def gaussian_product(rng, rows, M):
+    """``rng.standard_normal((rows, len(M))) @ M``, drawn in row blocks.
+
+    The factor is drawn in ceil(rows / PRODUCT_BLOCK_ROWS) blocks of equal
+    size (within one row), so the whole rows x len(M) factor is never held
+    and no block has a single row unless ``rows`` is 1. The draws come from
+    ``rng`` in the same order, so the product has the same law as the direct
+    one everywhere. It has the same bits at the shapes that the tests check;
+    in general BLAS may round a block's product differently from the whole.
+    """
+    out = np.empty((rows, M.shape[1]))
+    blocks = -(-rows // PRODUCT_BLOCK_ROWS)
+    bounds = [rows * b // blocks for b in range(blocks + 1)]
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        np.matmul(rng.standard_normal((r1 - r0, len(M))), M, out=out[r0:r1])
+    return out
+
+
 def laguerre_bidiagonal(rng, m, k):
     """Diagonal a_i = chi_(k - i), i < m, then subdiagonal s_i = chi_(m - 1 - i),
     i < m - 1, drawn from ``rng``: the m x m lower-bidiagonal B for which B B^T

@@ -121,7 +121,8 @@ def kernel_expectation(X, X2, act: ActivationSpec):
     Exact: closed forms for the identity (X^T X2), ReLU (degree-1 arc-cosine
     kernel) and sign ((2/pi) arcsin rho), else ``hk.mehler_kernel`` at
     rho = cos(x, x'), which raises DomainError where its tail bound exceeds
-    MEHLER_TAIL_TOL.
+    MEHLER_TAIL_TOL. The ReLU kernel is formed in the buffer of its A^T B, so
+    its block costs two result sizes at most.
     """
     A, B = as_array(X), as_array(X2)
     if A.shape[0] != B.shape[0]:

@@ -67,12 +67,6 @@ def _certificate(G, size):
         return None
 
 
-def _certified_full_rank(G, size):
-    """True if ``_certificate`` proves that G has no eigenvalue at or below the
-    cut-off."""
-    return _certificate(G, size) is not None
-
-
 def _refined_solve(G, L, rhs):
     """x with G x = rhs, from the certificate's factor L L^T = G - s I by
     iterative refinement (Higham, chapter 12), or None if the refinement does

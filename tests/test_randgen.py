@@ -71,6 +71,36 @@ class TestLaguerreBidiagonal:
         assert a.shape == (1,) and s.shape == (0,)
 
 
+class TestGaussianProduct:
+    # the shipped ck-depth shape, the ck-depth memory test's shapes (width
+    # 4096, k = 16 or 64, n = 64), rows below one block, and rows = 1 mod 512,
+    # whose equal blocks keep a last block of one row away from gemv
+    @pytest.mark.parametrize("rows, k, n", [
+        (8192, 256, 256), (4096, 16, 64), (4096, 64, 64), (1, 8, 5), (300, 12, 12),
+        (512, 64, 64), (513, 64, 64), (1025, 16, 64), (4097, 64, 64), (8193, 256, 256)])
+    def test_same_bits_and_stream_as_the_whole_draw(self, rows, k, n):
+        M = np.random.default_rng(1).standard_normal((k, n))
+        rng = np.random.default_rng(2)
+        got = randgen.gaussian_product(rng, rows, M)
+        want_rng = np.random.default_rng(2)
+        want = want_rng.standard_normal((rows, k)) @ M
+        assert np.array_equal(got, want)
+        assert rng.standard_normal() == want_rng.standard_normal()
+
+    @pytest.mark.parametrize("rows, sizes", [
+        (512, [512]), (513, [256, 257]), (1025, [341, 342, 342]), (4096, [512] * 8)])
+    def test_equal_blocks_of_at_most_512_rows(self, rows, sizes):
+        drawn = []
+
+        class Spy:
+            def standard_normal(self, shape):
+                drawn.append(shape[0])
+                return np.zeros(shape)
+
+        randgen.gaussian_product(Spy(), rows, np.eye(3))
+        assert drawn == sizes
+
+
 class TestRademacherMatrix:
     def test_support(self):
         X = randgen.rademacher_matrix(64, 64, 0)
